@@ -70,6 +70,13 @@ class TrainConfig:
             raise ConfigError("gamma must lie in (0, 1)")
         if self.replay_ratio <= 0.0:
             raise ConfigError("replay_ratio must be positive")
+        if self.anneal_steps < 1:
+            raise ConfigError(f"anneal_steps must be at least 1, not {self.anneal_steps}")
+        if self.capacity < self.min_segments_to_learn:
+            raise ConfigError(
+                f"capacity ({self.capacity}) is below the {self.min_segments_to_learn} segments learning waits for "
+                "(min_store_segments, or batch when that is 0), so the learner would never run"
+            )
 
     # -- stage-derived settings (not user-settable) -------------------------
 

@@ -20,6 +20,8 @@ import numpy as np
 from .errors import ConfigError, ContractViolation, NumericFault
 
 LAYER_KINDS = ("linear", "layer_norm", "elu", "relu", "residual_begin", "residual_end")
+# Kinds whose output can stop being finite even when their input is finite.
+_MAY_OVERFLOW = ("linear", "layer_norm", "residual_end")
 
 # Epsilon inside the layer-norm square root; keeps zero-variance rows finite.
 LN_EPS = 1e-5
@@ -199,15 +201,14 @@ def forward(net: Network, x: np.ndarray, want_tape: bool = True) -> tuple[np.nda
         elif spec.kind == "elu":
             if want_tape:
                 records.append(h)
-            neg = h <= 0.0
-            y = h.copy()
-            np.expm1(h, out=y, where=neg)
-            h = y
+            # expm1(x) >= x for x <= 0, so the max picks expm1 exactly there
+            y = np.minimum(h, 0.0)
+            np.expm1(y, out=y)
+            h = np.maximum(y, h, out=y)
         elif spec.kind == "relu":
-            mask = h > 0.0
             if want_tape:
-                records.append(mask)
-            h = np.where(mask, h, 0.0)
+                records.append(h > 0.0)
+            h = np.maximum(h, 0.0)
         elif spec.kind == "residual_begin":
             res_stack.append(h)
             if want_tape:
@@ -216,7 +217,9 @@ def forward(net: Network, x: np.ndarray, want_tape: bool = True) -> tuple[np.nda
             h = h + res_stack.pop()
             if want_tape:
                 records.append(None)
-        if not np.isfinite(h).all():
+        # Activations and span starts map finite inputs to finite outputs;
+        # their input is only unchecked at layer 0, the network input.
+        if (i == 0 or spec.kind in _MAY_OVERFLOW) and not np.isfinite(h).all():
             raise NumericFault(f"non-finite output at layer {i} ({spec.kind})")
     if not want_tape:
         return h, None
@@ -234,7 +237,9 @@ def backward(
 
     Parameter gradients accumulate into each block's ``gw``/``gb`` unless
     ``accumulate`` is False (useful when only the input gradient matters,
-    e.g. differentiating a critic w.r.t. its action input).
+    e.g. differentiating a critic w.r.t. its action input).  With
+    ``want_input_grad`` False the input gradient is never formed and the
+    call returns None.
     """
     if tape.net is not net:
         raise ContractViolation("tape belongs to a different network")
@@ -250,22 +255,30 @@ def backward(
             if accumulate:
                 blk.gw += rec.T @ g
                 blk.gb += g.sum(axis=0)
-            g = g @ blk.w.T
+            if i or want_input_grad:
+                g = g @ blk.w.T
         elif spec.kind == "layer_norm":
             xhat, inv = rec
-            if accumulate:
-                blk.gw += (g * xhat).sum(axis=0, keepdims=True)
-                blk.gb += g.sum(axis=0)
             dxhat = g * blk.w[0]
+            t = dxhat * xhat
+            m2 = t.mean(axis=1, keepdims=True)
+            if accumulate:
+                blk.gw += np.multiply(g, xhat, out=t).sum(axis=0, keepdims=True)
+                blk.gb += g.sum(axis=0)
             m1 = dxhat.mean(axis=1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
-            g = inv * (dxhat - m1 - xhat * m2)
+            # inv * (dxhat - m1 - xhat * m2) in place, same operations in the same order
+            dxhat -= m1
+            dxhat -= np.multiply(xhat, m2, out=t)
+            dxhat *= inv
+            g = dxhat
         elif spec.kind == "elu":
-            der = np.ones_like(rec)
-            np.exp(rec, out=der, where=rec <= 0.0)
-            g = g * der
+            # exp(0) == 1 is the derivative on the positive side
+            der = np.minimum(rec, 0.0)
+            np.exp(der, out=der)
+            der *= g
+            g = der
         elif spec.kind == "relu":
-            g = np.where(rec, g, 0.0)
+            g = g * rec
         elif spec.kind == "residual_begin":
             g = g + res_gstack.pop()
         else:  # residual_end: split gradient between inner stack and skip

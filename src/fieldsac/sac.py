@@ -159,10 +159,6 @@ class CriticEnsemble:
         nn.soft_update_net(self.q2_target.net, self.q2.net, t)
 
 
-def soft_update(ensemble: CriticEnsemble, tau: float) -> None:
-    ensemble.soft_update(tau)
-
-
 def n_step_targets(
     rewards: np.ndarray,
     dones: np.ndarray,

@@ -473,6 +473,7 @@ def finetune_run(distill_run, tmp_path_factory):
     return pipeline.train_stage(cfg, str(base), resume_actor=bundle.actor, resume_ensemble=bundle.ensemble)
 
 
+@pytest.mark.slow
 class TestCriterion6LearningSmoke:
     def test_6a_pretrain_speed_and_direction_spread(self, pretrain_runs):
         speeds = {s: r.final_eval.mean_speed for s, r in pretrain_runs.items()}

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fieldsac import cli
 from fieldsac.config import TrainConfig, config_to_text, load_config, parse_config_text
 from fieldsac.errors import ConfigError
 
@@ -65,3 +66,31 @@ class TestStageForcing:
             TrainConfig(gamma=1.5)
         with pytest.raises(ConfigError):
             TrainConfig(batch=0)
+
+
+class TestRejectsConfigsThatCannotTrain:
+    def test_anneal_steps_below_one(self):
+        # zero used to surface as a ZeroDivisionError in AnnealSchedule.value
+        for bad in (0, -3):
+            with pytest.raises(ConfigError, match="anneal_steps"):
+                TrainConfig(anneal_steps=bad)
+        assert TrainConfig(anneal_steps=1).anneal_steps == 1
+
+    def test_capacity_below_learning_threshold(self):
+        # the store could never hold one batch, so the run "succeeded" with
+        # no learner step at all
+        with pytest.raises(ConfigError, match="capacity"):
+            TrainConfig(capacity=10, batch=32)
+        with pytest.raises(ConfigError, match="capacity"):
+            TrainConfig(capacity=100, batch=32, min_store_segments=200)
+        assert TrainConfig(capacity=32, batch=32).capacity == 32
+
+    @pytest.mark.parametrize(
+        "flags, key",
+        [(["--anneal_steps", "0"], "anneal_steps"), (["--capacity", "10", "--batch", "32"], "capacity")],
+    )
+    def test_cli_exits_one_naming_the_key(self, tmp_path, capsys, flags, key):
+        rc = cli.main(["pretrain", "--out", str(tmp_path / "run"), *flags])
+        assert rc == 1
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()

@@ -142,6 +142,115 @@ class TestBackward:
             assert gin[0, j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
+def _edge_batch(rng, width=16):
+    """Random rows plus rows of signed zeros, subnormal-scale, saturating
+    and huge values."""
+    edges = np.array([0.0, -0.0, 1e-300, -1e-300, -700.0, 1e300, -1e300])
+    rows = [rng.standard_normal((40, width)) * 3.0]
+    rows += [np.full((1, width), e) for e in edges]
+    rows.append(np.resize(edges, (3, width)))
+    return np.concatenate(rows)
+
+
+def _activation_net(kind, width):
+    return nn.Network([nn.LayerSpec(kind, width, width)], [None])
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestKernelFormulas:
+    """The ELU/ReLU/layer-norm kernels against the masked-ufunc, np.where
+    and out-of-place formulas they replaced."""
+
+    def test_elu_forward_and_backward_match_masked_formulas(self):
+        rng = np.random.default_rng(20)
+        h = _edge_batch(rng)
+        g = rng.standard_normal(h.shape)
+        old_y = h.copy()
+        np.expm1(h, out=old_y, where=h <= 0.0)
+        old_der = np.ones_like(h)
+        np.exp(h, out=old_der, where=h <= 0.0)
+        old_g = g * old_der
+
+        net = _activation_net("elu", h.shape[1])
+        y, tape = nn.forward(net, h)
+        gin = nn.backward(net, tape, g)
+        # the forward output keeps even the sign of zero
+        assert _same_bits(y, old_y)
+        assert _same_bits(gin, old_g)
+
+    def test_relu_forward_and_backward_match_where_formulas(self):
+        rng = np.random.default_rng(21)
+        h = _edge_batch(rng)
+        g = rng.standard_normal(h.shape)
+        old_y = np.where(h > 0.0, h, 0.0)
+        old_g = np.where(h > 0.0, g, 0.0)
+
+        net = _activation_net("relu", h.shape[1])
+        y, tape = nn.forward(net, h)
+        gin = nn.backward(net, tape, g)
+        assert _same_bits(y, old_y)
+        # a negative upstream gradient at a dead unit now gives -0.0; equal
+        # under IEEE, and gradient accumulators start at +0.0, which
+        # absorbs it (+0.0 + -0.0 == +0.0)
+        assert np.array_equal(gin, old_g)
+        y2, no_tape = nn.forward(net, h, want_tape=False)
+        assert no_tape is None and _same_bits(y2, y)
+
+    def test_layer_norm_backward_matches_out_of_place_formula(self):
+        rng = np.random.default_rng(23)
+        h = rng.standard_normal((50, 16)) * 3.0
+        g = rng.standard_normal(h.shape)
+        w, b = rng.standard_normal((1, 16)), rng.standard_normal(16)
+        net = nn.Network([nn.LayerSpec("layer_norm", 16, 16)], [nn.ParamBlock(w, b)])
+        _, tape = nn.forward(net, h)
+        xhat, inv = tape.records[0]
+        dxhat = g * w[0]
+        m1 = dxhat.mean(axis=1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+        old_g = inv * (dxhat - m1 - xhat * m2)
+
+        gin = nn.backward(net, tape, g)
+        blk = net.blocks[0]
+        assert _same_bits(gin, old_g)
+        assert _same_bits(blk.gw, (g * xhat).sum(axis=0, keepdims=True))
+        assert _same_bits(blk.gb, g.sum(axis=0))
+        net.zero_grads()
+        assert _same_bits(nn.backward(net, tape, g, accumulate=False), old_g)
+        assert np.all(blk.gw == 0.0) and np.all(blk.gb == 0.0)
+
+    def test_no_input_grad_skips_it_and_keeps_param_grads(self):
+        rng = np.random.default_rng(22)
+        for activation in ("elu", "relu"):
+            net = random_net(rng, activation=activation)
+            x = rng.standard_normal((6, net.in_dim))
+            g = rng.standard_normal((6, net.out_dim))
+            y, tape = nn.forward(net, x)
+            assert nn.backward(net, tape, g, want_input_grad=True) is not None
+            with_grad = [(b.gw.copy(), b.gb.copy()) for b in net.param_blocks()]
+            net.zero_grads()
+            assert nn.backward(net, tape, g, want_input_grad=False) is None
+            for blk, (gw, gb) in zip(net.param_blocks(), with_grad):
+                assert _same_bits(blk.gw, gw) and _same_bits(blk.gb, gb)
+
+    @pytest.mark.parametrize("kind, bad", [("relu", np.nan), ("elu", np.nan), ("elu", np.inf)])
+    def test_nonfinite_input_to_first_layer_activation_raises(self, kind, bad):
+        # np.where used to turn a NaN into 0 at a first-layer relu
+        net = nn.Network([nn.LayerSpec(kind, 3, 3), nn.LayerSpec("elu", 3, 3)], [None, None])
+        with pytest.raises(NumericFault, match=rf"layer 0 \({kind}\)"):
+            nn.forward(net, np.array([[1.0, bad, -1.0]]))
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_overflow_after_an_activation_names_the_later_layer(self):
+        specs = [nn.LayerSpec("relu", 2, 2), nn.LayerSpec("residual_begin", 2, 2),
+                 nn.LayerSpec("elu", 2, 2), nn.LayerSpec("residual_end", 2, 2)]
+        net = nn.Network(specs, [None] * 4)
+        with pytest.raises(NumericFault, match=r"layer 3 \(residual_end\)"):
+            nn.forward(net, np.array([[1e308, 1.0]]))
+
+
 class TestGradCheck:
     def test_three_layer_net_matches_central_differences(self):
         rng = np.random.default_rng(6)

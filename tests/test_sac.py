@@ -478,13 +478,13 @@ class TestEnsemble:
         for blk in ens.q1_target.net.param_blocks():
             blk.w[:] = 0.0
             blk.b[:] = 0.0
-        sac.soft_update(ens, 0.0)
+        ens.soft_update(0.0)
         assert all(np.all(b.w == 0.0) for b in ens.q1_target.net.param_blocks())
-        sac.soft_update(ens, 0.5)
-        sac.soft_update(ens, 0.5)
+        ens.soft_update(0.5)
+        ens.soft_update(0.5)
         for t, o in zip(ens.q1_target.net.param_blocks(), ens.q1.net.param_blocks()):
             assert np.allclose(t.w, 0.75 * o.w)
-        sac.soft_update(ens, 1.0)
+        ens.soft_update(1.0)
         for t, o in zip(ens.q1_target.net.param_blocks(), ens.q1.net.param_blocks()):
             assert np.array_equal(t.w, o.w)
 
