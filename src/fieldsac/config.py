@@ -70,6 +70,14 @@ class TrainConfig:
             raise ConfigError("gamma must lie in (0, 1)")
         if self.replay_ratio <= 0.0:
             raise ConfigError("replay_ratio must be positive")
+        if not 0.0 < self.tau <= 1.0:
+            raise ConfigError(f"tau must lie in (0, 1], not {self.tau}")
+        for key in ("eta", "anneal_start", "anneal_end"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ConfigError(f"{key} must lie in [0, 1], not {getattr(self, key)}")
+        for key in ("lr_actor", "lr_critic", "lr_alpha", "init_alpha", "rescale_eps"):
+            if not getattr(self, key) > 0.0:
+                raise ConfigError(f"{key} must be positive, not {getattr(self, key)}")
         if self.anneal_steps < 1:
             raise ConfigError(f"anneal_steps must be at least 1, not {self.anneal_steps}")
         if self.capacity < self.min_segments_to_learn:

@@ -67,31 +67,29 @@ def clone_actor_into_student(teacher: nn.Network, field_dim: int) -> nn.Network:
     """Exact functional clone whose field pathway has zero weight.
 
     Requires the student hidden width to equal the teacher's; the first
-    linear layer gains ``field_dim`` zero rows, everything else is copied
-    bit-for-bit.  With any field input the clone reproduces the teacher.
+    linear layer gains ``field_dim`` zero rows, every parameter is copied
+    bit-for-bit and the optimizer state starts fresh.  With any field
+    input the clone reproduces the teacher.
     """
-    specs = [nn.LayerSpec("linear", teacher.specs[0].in_dim + field_dim, teacher.specs[0].out_dim)] + list(teacher.specs[1:])
-    blocks: list[nn.ParamBlock | None] = []
-    first = teacher.blocks[0]
-    w = np.zeros((first.w.shape[0] + field_dim, first.w.shape[1]))
-    w[: first.w.shape[0]] = first.w
-    blocks.append(nn.ParamBlock(w, first.b.copy()))
-    blocks.extend(b.copy() if b is not None else None for b in teacher.blocks[1:])
-    return nn.Network(specs, blocks)
+    return _clone_with_field_rows(teacher, field_dim, teacher.in_dim)
 
 
 def clone_critic_into_student(teacher: VectorCritic, obs_dim: int, field_dim: int) -> VectorCritic:
     """As clone_actor_into_student, for the (obs ++ field ++ action) layout."""
-    tnet = teacher.net
-    act_dim = tnet.in_dim - obs_dim
-    specs = [nn.LayerSpec("linear", tnet.in_dim + field_dim, tnet.specs[0].out_dim)] + list(tnet.specs[1:])
-    first = tnet.blocks[0]
-    w = np.zeros((tnet.in_dim + field_dim, first.w.shape[1]))
-    w[:obs_dim] = first.w[:obs_dim]
-    w[obs_dim + field_dim :] = first.w[obs_dim:]
-    blocks: list[nn.ParamBlock | None] = [nn.ParamBlock(w, first.b.copy())]
-    blocks.extend(b.copy() if b is not None else None for b in tnet.blocks[1:])
-    return VectorCritic(nn.Network(specs, blocks))
+    return VectorCritic(_clone_with_field_rows(teacher.net, field_dim, obs_dim))
+
+
+def _clone_with_field_rows(tnet: nn.Network, field_dim: int, at: int) -> nn.Network:
+    """Copy of ``tnet``'s parameters with ``field_dim`` zero input rows
+    inserted into the first linear layer before input ``at``."""
+    specs = [nn.LayerSpec("linear", tnet.in_dim + field_dim, tnet.specs[0].out_dim), *tnet.specs[1:]]
+    net = nn.Network(specs, nn.arena_blocks(specs))
+    src, dst = tnet.blocks[0], net.blocks[0]
+    dst.w[:at] = src.w[:at]
+    dst.w[at + field_dim :] = src.w[at:]
+    dst.b[:] = src.b
+    net.arena.params[dst.stop :] = tnet.arena.params[src.stop :]
+    return net
 
 
 @dataclass
@@ -116,9 +114,8 @@ def distill_step(
     """One distillation step on a batch of stored states.
 
     Teachers are read-only (no tapes, no gradient accumulation).  The
-    student critic matches the teacher's weighted-sum value at actions
-    sampled from the respective policies (per-coordinate with
-    ``match_vector``); the sampled actions carry no gradient.
+    student actor matches the teacher policy (closed-form KL) and the
+    student critic is fitted by ``_fit_critic``.
     """
     states = np.asarray(states, dtype=np.float64)
     B = states.shape[0]
@@ -136,24 +133,11 @@ def distill_step(
 
     kl_rows = policy.kl_diag_gaussian(s_head, t_head)
     kl_loss = float(kl_rows.mean())
+    if not np.isfinite(kl_loss):
+        raise NumericFault("non-finite distillation loss; dumping batch is advised")
     dmu, dls = policy.kl_grads(s_head, t_head, s_mask)
     nn.backward(student_actor, s_tape, np.concatenate([dmu, dls], axis=1) / B, want_input_grad=False)
-
-    a_s = policy.sample(s_head, rng.standard_normal(s_head.mu.shape)).action
-    a_t = policy.sample(t_head, rng.standard_normal(t_head.mu.shape)).action
-    qs, q_tape = student_critic.forward(np.concatenate([states, field_noise, a_s], axis=1))
-    qt, _ = teacher_critic.forward(np.concatenate([states, a_t], axis=1), want_tape=False)
-    if cfg.match_vector:
-        diff = qs - qt
-        q_loss = float((diff * diff).sum(axis=1).mean())
-        gq = 2.0 * diff / B
-    else:
-        diff = (qs - qt) @ weights
-        q_loss = float((diff * diff).mean())
-        gq = (2.0 * diff / B)[:, None] * weights[None, :]
-    if not (np.isfinite(kl_loss) and np.isfinite(q_loss)):
-        raise NumericFault("non-finite distillation loss; dumping batch is advised")
-    nn.backward(student_critic.net, q_tape, gq, want_input_grad=False)
+    q_loss = _fit_critic(student_critic, teacher_critic, states, field_noise, s_head, t_head, rng, cfg, weights)
 
     if apply_updates:
         lr_a, lr_c = cfg.lr_at(step_index)
@@ -175,17 +159,37 @@ def distill_critic_only(
 ) -> float:
     """One squared-error step for a critic whose actor is already distilled."""
     states = np.asarray(states, dtype=np.float64)
-    B = states.shape[0]
-    field_noise = rng.normal(0.0, cfg.noise_std, size=(B, cfg.field_dim))
+    field_noise = rng.normal(0.0, cfg.noise_std, size=(states.shape[0], cfg.field_dim))
     s_out, _ = nn.forward(student_actor, np.concatenate([states, field_noise], axis=1), want_tape=False)
     s_head, _ = policy.head_from_output(s_out)
     t_out, _ = nn.forward(teacher_actor, states, want_tape=False)
     t_head, _ = policy.head_from_output(t_out)
+    q_loss = _fit_critic(student_critic, teacher_critic, states, field_noise, s_head, t_head, rng, cfg, weights)
+    nn.adam_step_net(student_critic.net, cfg.lr_at(step_index)[1])
+    return q_loss
+
+
+def _fit_critic(
+    student_critic: VectorCritic,
+    teacher_critic: VectorCritic,
+    states: np.ndarray,
+    field_noise: np.ndarray,
+    s_head: policy.GaussianHead,
+    t_head: policy.GaussianHead,
+    rng: np.random.Generator,
+    cfg: DistillConfig,
+    weights: np.ndarray,
+) -> float:
+    """Accumulate the student critic's gradient of its squared error
+    against the teacher's weighted-sum value (per coordinate with
+    ``match_vector``) at actions sampled from the respective policies;
+    the sampled actions carry no gradient.  Returns the loss."""
+    B = states.shape[0]
+    weights = np.asarray(weights, dtype=np.float64)
     a_s = policy.sample(s_head, rng.standard_normal(s_head.mu.shape)).action
     a_t = policy.sample(t_head, rng.standard_normal(t_head.mu.shape)).action
     qs, q_tape = student_critic.forward(np.concatenate([states, field_noise, a_s], axis=1))
     qt, _ = teacher_critic.forward(np.concatenate([states, a_t], axis=1), want_tape=False)
-    weights = np.asarray(weights, dtype=np.float64)
     if cfg.match_vector:
         diff = qs - qt
         q_loss = float((diff * diff).sum(axis=1).mean())
@@ -197,7 +201,6 @@ def distill_critic_only(
     if not np.isfinite(q_loss):
         raise NumericFault("non-finite critic distillation loss")
     nn.backward(student_critic.net, q_tape, gq, want_input_grad=False)
-    nn.adam_step_net(student_critic.net, cfg.lr_at(step_index)[1])
     return q_loss
 
 
@@ -239,7 +242,7 @@ def verify_distillation(
 
 def network_fingerprint(net: nn.Network) -> bytes:
     """Concatenated raw parameter bytes; equality means bit-identical."""
-    return b"".join(blk.w.tobytes() + blk.b.tobytes() for blk in net.param_blocks())
+    return net.arena.params.tobytes()
 
 
 def run_distillation(

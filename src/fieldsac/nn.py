@@ -9,19 +9,38 @@ finite differences by ``grad_check``).
 Batches are 2-D float64 arrays, one row per sample, features along
 columns.  One network instance must only be mutated from a single thread;
 share read-only copies (``Network.copy``) across threads instead.
+
+Parameter arena: a network keeps all of its state in one ``Arena``, four
+flat float64 vectors (parameters, gradients, Adam ``m`` and Adam ``v``)
+plus one Adam step count.  The vectors are laid out block by block,
+``w`` (row-major) then ``b``, which is also the order of the parameter
+part of a ``fieldsac-net-v1`` blob; the file format is unchanged and
+still stores the step count once per block.  Every ``ParamBlock`` field
+(``w``, ``b``, ``gw``, ``gb``, ``mw``, ``vw``, ``mb``, ``vb``) is a
+reshaped view into the arena, so Adam, soft updates, gradient zeroing,
+copies and fingerprints each act on whole vectors.
+
+Finite scans: ``forward`` checks for non-finite values only at the
+output and at the input of every ``relu``/``elu``.  Those are the only
+layers that can turn a non-finite value (``-inf``) finite; linear, layer
+norm and residual layers keep a non-finite row non-finite.  When a scan
+fails, the pass is repeated checking every layer, so the ``NumericFault``
+names the first layer whose output stopped being finite.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, NumericFault
 
 LAYER_KINDS = ("linear", "layer_norm", "elu", "relu", "residual_begin", "residual_end")
-# Kinds whose output can stop being finite even when their input is finite.
-_MAY_OVERFLOW = ("linear", "layer_norm", "residual_end")
+# Kinds that can map a non-finite input (-inf) to a finite output.
+_CAN_HIDE_FAULT = ("elu", "relu")
 
 # Epsilon inside the layer-norm square root; keeps zero-variance rows finite.
 LN_EPS = 1e-5
@@ -38,45 +57,105 @@ class LayerSpec:
     out_dim: int
 
 
+_VECTORS = ("params", "grads", "m", "v")
+
+
+class Arena:
+    """Flat float64 storage for parameter blocks: parameters, gradients,
+    Adam first and second moments, and the Adam step count they share."""
+
+    __slots__ = (*_VECTORS, "step_count")
+
+    def __init__(self, size: int):
+        self.params = np.zeros(size)
+        self.grads = np.zeros(size)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self.step_count = 0
+
+    def copy(self) -> "Arena":
+        out = Arena.__new__(Arena)
+        out.params, out.grads, out.m, out.v = self.params.copy(), self.grads.copy(), self.m.copy(), self.v.copy()
+        out.step_count = self.step_count
+        return out
+
+
 class ParamBlock:
     """Parameters, gradient accumulators and Adam state for one layer.
 
     ``w`` is 2-D: ``(in_dim, out_dim)`` for linear layers, ``(1, dim)``
-    (the gain) for layer norm.  ``b`` is the bias/shift vector.
+    (the gain) for layer norm.  ``b`` is the bias/shift vector.  All
+    eight fields are views into ``arena`` over ``[start, stop)``: a block
+    built on its own owns a private arena, a network's blocks share the
+    network's.
     """
 
-    __slots__ = ("w", "b", "gw", "gb", "mw", "vw", "mb", "vb", "step_count")
+    __slots__ = ("arena", "start", "stop", "w", "b", "gw", "gb", "mw", "vw", "mb", "vb")
 
     def __init__(self, w: np.ndarray, b: np.ndarray):
-        self.w = np.ascontiguousarray(w, dtype=np.float64)
-        self.b = np.ascontiguousarray(b, dtype=np.float64)
-        if self.w.ndim != 2 or self.b.ndim != 1:
+        w = np.asarray(w, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        if w.ndim != 2 or b.ndim != 1:
             raise ConfigError("ParamBlock expects a 2-D weight and 1-D bias")
-        self.gw = np.zeros_like(self.w)
-        self.gb = np.zeros_like(self.b)
-        self.mw = np.zeros_like(self.w)
-        self.vw = np.zeros_like(self.w)
-        self.mb = np.zeros_like(self.b)
-        self.vb = np.zeros_like(self.b)
-        self.step_count = 0
+        self._bind(Arena(w.size + b.size), 0, w.shape, b.size)
+        self.w[...] = w
+        self.b[...] = b
+
+    @classmethod
+    def _view(cls, arena: Arena, start: int, w_shape: tuple[int, int], b_size: int) -> "ParamBlock":
+        blk = cls.__new__(cls)
+        blk._bind(arena, start, w_shape, b_size)
+        return blk
+
+    def _bind(self, arena: Arena, start: int, w_shape: tuple[int, int], b_size: int) -> None:
+        mid = start + w_shape[0] * w_shape[1]
+        stop = mid + b_size
+        self.arena, self.start, self.stop = arena, start, stop
+        self.w, self.b = arena.params[start:mid].reshape(w_shape), arena.params[mid:stop]
+        self.gw, self.gb = arena.grads[start:mid].reshape(w_shape), arena.grads[mid:stop]
+        self.mw, self.mb = arena.m[start:mid].reshape(w_shape), arena.m[mid:stop]
+        self.vw, self.vb = arena.v[start:mid].reshape(w_shape), arena.v[mid:stop]
+
+    @property
+    def step_count(self) -> int:
+        return self.arena.step_count
 
     def n_params(self) -> int:
-        return self.w.size + self.b.size
+        return self.stop - self.start
 
     def zero_grads(self) -> None:
-        self.gw[:] = 0.0
-        self.gb[:] = 0.0
+        self.arena.grads[self.start : self.stop] = 0.0
 
-    def copy(self) -> "ParamBlock":
-        blk = ParamBlock(self.w.copy(), self.b.copy())
-        blk.gw = self.gw.copy()
-        blk.gb = self.gb.copy()
-        blk.mw = self.mw.copy()
-        blk.vw = self.vw.copy()
-        blk.mb = self.mb.copy()
-        blk.vb = self.vb.copy()
-        blk.step_count = self.step_count
-        return blk
+
+def _param_shapes(spec: LayerSpec) -> tuple[tuple[int, int], int] | None:
+    """(w shape, b size) of a layer kind that has parameters, else None."""
+    if spec.kind == "linear":
+        return (spec.in_dim, spec.out_dim), spec.out_dim
+    if spec.kind == "layer_norm":
+        return (1, spec.in_dim), spec.in_dim
+    return None
+
+
+def arena_blocks(specs: list[LayerSpec], arena: Arena | None = None) -> list[ParamBlock | None]:
+    """Parameter blocks for ``specs`` as views into ``arena``, laid out
+    block by block (``w`` then ``b``); a zeroed arena of the right size
+    is allocated when none is given."""
+    shapes = [_param_shapes(s) for s in specs]
+    size = sum(ws[0] * ws[1] + bs for ws, bs in filter(None, shapes))
+    if arena is None:
+        arena = Arena(size)
+    elif arena.params.size != size:
+        raise ConfigError(f"arena holds {arena.params.size} parameters, the layers need {size}")
+    blocks: list[ParamBlock | None] = []
+    off = 0
+    for shape in shapes:
+        if shape is None:
+            blocks.append(None)
+            continue
+        blk = ParamBlock._view(arena, off, *shape)
+        off = blk.stop
+        blocks.append(blk)
+    return blocks
 
 
 class Network:
@@ -84,7 +163,11 @@ class Network:
 
     ``blocks[i]`` is ``None`` for parameter-free layers.  ``version``
     increments on every parameter mutation and is used to detect stale
-    tapes.
+    tapes.  The network adopts the blocks it is given: blocks that
+    already tile one arena in layer order keep it (no copy); otherwise
+    their state is copied into a fresh arena, a block that was on its
+    own is re-bound to it, and a block that was part of another arena is
+    replaced by a view so that arena stays intact.
     """
 
     def __init__(self, specs: list[LayerSpec], blocks: list[ParamBlock | None]):
@@ -93,7 +176,38 @@ class Network:
         _validate_stack(specs, blocks)
         self.specs = list(specs)
         self.blocks = list(blocks)
+        self.arena = self._adopt()
         self.version = 0
+        # scan where an activation could hide a fault, and at the output
+        last = len(self.specs) - 1
+        self.finite_scans = tuple(i == last or self.specs[i + 1].kind in _CAN_HIDE_FAULT for i in range(last + 1))
+
+    def _adopt(self) -> Arena:
+        pbs = self.param_blocks()
+        offsets = list(accumulate((b.n_params() for b in pbs), initial=0))
+        first = pbs[0].arena if pbs else None
+        if first is not None and first.params.size == offsets[-1] and all(
+            b.arena is first and b.start == off for b, off in zip(pbs, offsets)
+        ):
+            return first
+        steps = {b.arena.step_count for b in pbs}
+        if len(steps) > 1:
+            raise ConfigError(f"parameter blocks disagree on the Adam step count: {sorted(steps)}")
+        arena = Arena(offsets[-1])
+        arena.step_count = steps.pop() if steps else 0
+        k = 0
+        for i, blk in enumerate(self.blocks):
+            if blk is None:
+                continue
+            src, dst = slice(blk.start, blk.stop), slice(offsets[k], offsets[k + 1])
+            for name in _VECTORS:
+                getattr(arena, name)[dst] = getattr(blk.arena, name)[src]
+            if blk.n_params() == blk.arena.params.size:
+                blk._bind(arena, dst.start, blk.w.shape, blk.b.size)
+            else:
+                self.blocks[i] = ParamBlock._view(arena, dst.start, blk.w.shape, blk.b.size)
+            k += 1
+        return arena
 
     @property
     def in_dim(self) -> int:
@@ -107,17 +221,16 @@ class Network:
         return [b for b in self.blocks if b is not None]
 
     def n_params(self) -> int:
-        return sum(b.n_params() for b in self.param_blocks())
+        return self.arena.params.size
 
     def zero_grads(self) -> None:
-        for b in self.param_blocks():
-            b.zero_grads()
+        self.arena.grads[:] = 0.0
 
     def bump_version(self) -> None:
         self.version += 1
 
     def copy(self) -> "Network":
-        net = Network(self.specs, [b.copy() if b is not None else None for b in self.blocks])
+        net = Network(self.specs, arena_blocks(self.specs, self.arena.copy()))
         net.version = self.version
         return net
 
@@ -179,18 +292,39 @@ def forward(net: Network, x: np.ndarray, want_tape: bool = True) -> tuple[np.nda
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.in_dim:
         raise ConfigError(f"input of shape {x.shape} does not match in_dim {net.in_dim}")
+    h, records, bad = _run(net, x, want_tape, net.finite_scans)
+    if bad >= 0:
+        # The trimmed scans only show that some layer up to ``bad`` failed;
+        # checking every layer names the first one.
+        bad = _run(net, x, False, (True,) * len(net.specs))[2]
+        raise NumericFault(f"non-finite output at layer {bad} ({net.specs[bad].kind})")
+    if not want_tape:
+        return h, None
+    return h, Tape(net, records, x.shape[0])
+
+
+def _mean_rows(a: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=1, keepdims=True)`` without numpy's wrapper: the same
+    sum and the same in-place division, so the same bits."""
+    mu = np.add.reduce(a, axis=1, keepdims=True)
+    mu /= a.shape[1]
+    return mu
+
+
+def _run(net: Network, x: np.ndarray, want_tape: bool, scans: tuple[bool, ...]) -> tuple[np.ndarray, list, int]:
+    """The forward loop; stops at the first layer ``i`` with ``scans[i]``
+    set whose output is not finite and returns its index (-1 if none)."""
     h = x
     records: list = []
     res_stack: list[np.ndarray] = []
-    for i, (spec, blk) in enumerate(zip(net.specs, net.blocks)):
+    for i, (spec, blk, scan) in enumerate(zip(net.specs, net.blocks, scans)):
         if spec.kind == "linear":
             if want_tape:
                 records.append(h)
             h = h @ blk.w
             h += blk.b
         elif spec.kind == "layer_norm":
-            mu = h.mean(axis=1, keepdims=True)
-            xhat = h - mu
+            xhat = h - _mean_rows(h)
             var = np.einsum("ij,ij->i", xhat, xhat) / h.shape[1]
             inv = (1.0 / np.sqrt(var + LN_EPS))[:, None]
             xhat *= inv
@@ -217,13 +351,9 @@ def forward(net: Network, x: np.ndarray, want_tape: bool = True) -> tuple[np.nda
             h = h + res_stack.pop()
             if want_tape:
                 records.append(None)
-        # Activations and span starts map finite inputs to finite outputs;
-        # their input is only unchecked at layer 0, the network input.
-        if (i == 0 or spec.kind in _MAY_OVERFLOW) and not np.isfinite(h).all():
-            raise NumericFault(f"non-finite output at layer {i} ({spec.kind})")
-    if not want_tape:
-        return h, None
-    return h, Tape(net, records, x.shape[0])
+        if scan and not np.isfinite(h).all():
+            return h, records, i
+    return h, records, -1
 
 
 def backward(
@@ -261,11 +391,11 @@ def backward(
             xhat, inv = rec
             dxhat = g * blk.w[0]
             t = dxhat * xhat
-            m2 = t.mean(axis=1, keepdims=True)
+            m2 = _mean_rows(t)
             if accumulate:
                 blk.gw += np.multiply(g, xhat, out=t).sum(axis=0, keepdims=True)
                 blk.gb += g.sum(axis=0)
-            m1 = dxhat.mean(axis=1, keepdims=True)
+            m1 = _mean_rows(dxhat)
             # inv * (dxhat - m1 - xhat * m2) in place, same operations in the same order
             dxhat -= m1
             dxhat -= np.multiply(xhat, m2, out=t)
@@ -286,6 +416,38 @@ def backward(
     return g if want_input_grad else None
 
 
+def _adam(arena: Arena, part: slice, lr: float, beta1: float, beta2: float, eps: float) -> None:
+    """Bias-corrected Adam update of ``arena[part]``; zeroes its gradients.
+
+    Non-finite gradients abort before touching any state.
+    """
+    p, gr, m, v = arena.params[part], arena.grads[part], arena.m[part], arena.v[part]
+    if not np.isfinite(gr).all():
+        raise NumericFault("non-finite gradient; Adam step aborted")
+    arena.step_count += 1
+    t = arena.step_count
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+    # m += (1 - beta1) * g;  v += (1 - beta2) * g * g;
+    # p -= lr * (m / c1) / (sqrt(v / c2) + eps): the same operations in the
+    # same order, with one scratch vector and the spent gradient as another
+    tmp = np.multiply(gr, 1.0 - beta1)
+    m *= beta1
+    m += tmp
+    np.multiply(gr, 1.0 - beta2, out=tmp)
+    tmp *= gr
+    v *= beta2
+    v += tmp
+    np.divide(v, c2, out=gr)
+    np.sqrt(gr, out=gr)
+    gr += eps
+    np.divide(m, c1, out=tmp)
+    tmp *= lr
+    tmp /= gr
+    p -= tmp
+    gr[:] = 0.0
+
+
 def adam_step(
     block: ParamBlock,
     lr: float,
@@ -293,43 +455,23 @@ def adam_step(
     beta2: float = ADAM_BETA2,
     eps: float = ADAM_EPS,
 ) -> None:
-    """Bias-corrected Adam update; zeroes the gradients afterwards.
-
-    Non-finite gradients abort before touching any state.
-    """
-    if not (np.isfinite(block.gw).all() and np.isfinite(block.gb).all()):
-        raise NumericFault("non-finite gradient; Adam step aborted")
-    block.step_count += 1
-    t = block.step_count
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
-    for p, gr, m, v in ((block.w, block.gw, block.mw, block.vw), (block.b, block.gb, block.mb, block.vb)):
-        m *= beta1
-        m += (1.0 - beta1) * gr
-        v *= beta2
-        v += (1.0 - beta2) * gr * gr
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-    block.zero_grads()
+    """Adam step for a lone block (one with its own arena and step count)."""
+    _adam(block.arena, slice(block.start, block.stop), lr, beta1, beta2, eps)
 
 
 def adam_step_net(net: Network, lr: float, beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2, eps: float = ADAM_EPS) -> None:
-    for blk in net.param_blocks():
-        adam_step(blk, lr, beta1, beta2, eps)
+    """One Adam step over the whole arena: every block, one step count."""
+    _adam(net.arena, slice(None), lr, beta1, beta2, eps)
     net.bump_version()
 
 
 def soft_update_net(target: Network, online: Network, tau: float) -> None:
-    """target <- (1 - tau) * target + tau * online, parameter by parameter."""
-    tb, ob = target.param_blocks(), online.param_blocks()
-    if len(tb) != len(ob):
-        raise ConfigError("networks differ in structure")
-    for t, o in zip(tb, ob):
-        if t.w.shape != o.w.shape or t.b.shape != o.b.shape:
-            raise ConfigError("networks differ in parameter shapes")
-        t.w *= 1.0 - tau
-        t.w += tau * o.w
-        t.b *= 1.0 - tau
-        t.b += tau * o.b
+    """target <- (1 - tau) * target + tau * online, over the whole parameter vector."""
+    if [_param_shapes(s) for s in target.specs] != [_param_shapes(s) for s in online.specs]:
+        raise ConfigError("networks differ in parameter shapes")
+    t = target.arena.params
+    t *= 1.0 - tau
+    t += tau * online.arena.params
     target.bump_version()
 
 
@@ -370,21 +512,18 @@ def init_blocks(specs: list[LayerSpec], rng: np.random.Generator, out_scale: flo
     ``out_scale`` shrinks the final linear layer (useful for policy heads
     that should start near zero).
     """
-    blocks: list[ParamBlock | None] = []
+    blocks = arena_blocks(specs)
     last_linear = max(i for i, s in enumerate(specs) if s.kind == "linear")
-    for i, spec in enumerate(specs):
+    for i, (spec, blk) in enumerate(zip(specs, blocks)):
         if spec.kind == "linear":
             k = 1.0 / np.sqrt(spec.in_dim)
-            w = rng.uniform(-k, k, size=(spec.in_dim, spec.out_dim))
-            b = rng.uniform(-k, k, size=spec.out_dim)
+            blk.w[...] = rng.uniform(-k, k, size=(spec.in_dim, spec.out_dim))
+            blk.b[...] = rng.uniform(-k, k, size=spec.out_dim)
             if i == last_linear:
-                w *= out_scale
-                b *= out_scale
-            blocks.append(ParamBlock(w, b))
+                blk.w *= out_scale
+                blk.b *= out_scale
         elif spec.kind == "layer_norm":
-            blocks.append(ParamBlock(np.ones((1, spec.in_dim)), np.zeros(spec.in_dim)))
-        else:
-            blocks.append(None)
+            blk.w[...] = 1.0
     return blocks
 
 
@@ -496,20 +635,26 @@ def save_network(net: Network, prefix: str, with_optimizer: bool = False) -> tup
     ]
     for i, spec in enumerate(net.specs):
         lines.append(f"layer.{i} = {spec.kind} {spec.in_dim} {spec.out_dim}")
-    parts: list[np.ndarray] = []
-    for blk in net.param_blocks():
-        parts.append(blk.w.reshape(-1))
-        parts.append(blk.b)
-    if with_optimizer:
-        for blk in net.param_blocks():
-            parts += [blk.mw.reshape(-1), blk.vw.reshape(-1), blk.mb, blk.vb, np.array([float(blk.step_count)])]
-    blob = np.concatenate(parts) if parts else np.zeros(0)
     man_path, bin_path = prefix + ".manifest", prefix + ".bin"
     with open(man_path, "w") as f:
         f.write("\n".join(lines) + "\n")
+    steps = np.full(len(net.param_blocks()), float(net.arena.step_count))
     with open(bin_path, "wb") as f:
-        f.write(blob.astype("<f8").tobytes())
+        for part in _blob_parts(net, with_optimizer, steps):
+            f.write(part.astype("<f8", copy=False).data)
     return man_path, bin_path
+
+
+def _blob_parts(net: Network, with_optimizer: bool, steps: np.ndarray) -> list[np.ndarray]:
+    """The blob in file order as views, so it is written and read in place:
+    the arena's parameter vector (already every block's ``w`` then ``b``),
+    then with the optimizer, per block, ``mw``, ``vw``, ``mb``, ``vb`` and
+    its step count (an entry of ``steps``)."""
+    parts = [net.arena.params]
+    if with_optimizer:
+        for k, blk in enumerate(net.param_blocks()):
+            parts += [blk.mw.reshape(-1), blk.vw.reshape(-1), blk.mb, blk.vb, steps[k : k + 1]]
+    return parts
 
 
 def load_network(prefix: str) -> Network:
@@ -530,35 +675,21 @@ def load_network(prefix: str) -> Network:
     for i in range(n_layers):
         kind, in_dim, out_dim = kv[f"layer.{i}"].split()
         specs.append(LayerSpec(kind, int(in_dim), int(out_dim)))
-    blob = np.frombuffer(open(bin_path, "rb").read(), dtype="<f8").astype(np.float64)
-
-    off = 0
-
-    def take(n: int) -> np.ndarray:
-        nonlocal off
-        if off + n > blob.size:
-            raise ConfigError(f"blob in {bin_path} is shorter than the manifest promises")
-        out = blob[off : off + n].copy()
-        off += n
-        return out
-
-    blocks: list[ParamBlock | None] = []
-    for spec in specs:
-        if spec.kind == "linear":
-            w = take(spec.in_dim * spec.out_dim).reshape(spec.in_dim, spec.out_dim)
-            blocks.append(ParamBlock(w, take(spec.out_dim)))
-        elif spec.kind == "layer_norm":
-            blocks.append(ParamBlock(take(spec.in_dim).reshape(1, spec.in_dim), take(spec.in_dim)))
-        else:
-            blocks.append(None)
-    net = Network(specs, blocks)
-    if with_optimizer:
-        for blk in net.param_blocks():
-            blk.mw = take(blk.w.size).reshape(blk.w.shape)
-            blk.vw = take(blk.w.size).reshape(blk.w.shape)
-            blk.mb = take(blk.b.size)
-            blk.vb = take(blk.b.size)
-            blk.step_count = int(take(1)[0])
-    if off != blob.size:
-        raise ConfigError(f"blob in {bin_path} has {blob.size - off} unexpected trailing values")
+    net = Network(specs, arena_blocks(specs))
+    steps = np.zeros(len(net.param_blocks()))
+    parts = _blob_parts(net, with_optimizer, steps)
+    with open(bin_path, "rb") as f:
+        for part in parts:
+            if f.readinto(part.data.cast("B")) != part.nbytes:
+                raise ConfigError(f"blob in {bin_path} is shorter than the manifest promises")
+        trailing = len(f.read())
+    if trailing:
+        raise ConfigError(f"blob in {bin_path} has {trailing} unexpected trailing bytes")
+    if sys.byteorder == "big":  # the blob is little-endian
+        for part in parts:
+            part.byteswap(inplace=True)
+    counts = set(steps.tolist())  # all zero without the optimizer part
+    if len(counts) > 1:
+        raise ConfigError(f"blocks in {bin_path} disagree on the Adam step count: {sorted(counts)}")
+    net.arena.step_count = int(counts.pop()) if counts else 0
     return net

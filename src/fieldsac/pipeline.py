@@ -51,10 +51,13 @@ def pick_obs(sr: StepResult, obs_mode: str) -> np.ndarray:
 
 
 def _freeze(net: nn.Network) -> nn.Network:
-    for blk in net.param_blocks():
-        blk.w.flags.writeable = False
-        blk.b.flags.writeable = False
-    return net
+    """Read-only copy of ``net``'s parameters (no optimizer state).  The
+    block views are made after the vector is locked, so they reject writes
+    too."""
+    arena = nn.Arena(net.n_params())
+    arena.params[:] = net.arena.params
+    arena.params.flags.writeable = False
+    return nn.Network(net.specs, nn.arena_blocks(net.specs, arena))
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ class PolicySnapshotHub:
         self._snap: PolicySnapshot | None = None
 
     def publish(self, actor: nn.Network, alpha: float) -> int:
-        frozen = _freeze(actor.copy())
+        frozen = _freeze(actor)
         with self._lock:
             version = (self._snap.version if self._snap else 0) + 1
             self._snap = PolicySnapshot(version, frozen, float(alpha))
@@ -326,7 +329,8 @@ def load_checkpoint(directory: str) -> CheckpointBundle:
     config_text = ""
     cfg_path = os.path.join(directory, "config.txt")
     if os.path.exists(cfg_path):
-        config_text = open(cfg_path).read()
+        with open(cfg_path) as f:
+            config_text = f.read()
     return CheckpointBundle(
         actor=nets["actor"],
         ensemble=ensemble,

@@ -466,7 +466,8 @@ class PrioritizedStore:
         size, next_slot = int(kv["size"]), int(kv["next"])
         obs_dim, act_dim = int(kv["obs_dim"]), int(kv["act_dim"])
         L, tail = store.seg_len, store.n_tail
-        blob = np.frombuffer(open(bin_path, "rb").read(), dtype="<f8")
+        with open(bin_path, "rb") as f:
+            blob = np.frombuffer(f.read(), dtype="<f8")
         off = 0
 
         def take(n):

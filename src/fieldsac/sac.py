@@ -105,18 +105,14 @@ class VectorCritic:
 
 def extend_reward_term(critic: VectorCritic, init_scale: float, rng: np.random.Generator) -> VectorCritic:
     """New critic with one extra Q-head; existing heads are bit-identical."""
-    out = critic.copy()
-    blk = out.net.blocks[-1]
-    new_col = rng.standard_normal((blk.w.shape[0], 1)) * init_scale
-    blk.w = np.concatenate([blk.w, new_col], axis=1)
-    blk.b = np.concatenate([blk.b, [0.0]])
-    for name in ("gw", "mw", "vw"):
-        setattr(blk, name, np.concatenate([getattr(blk, name), np.zeros_like(new_col)], axis=1))
-    for name in ("gb", "mb", "vb"):
-        setattr(blk, name, np.concatenate([getattr(blk, name), [0.0]]))
-    spec = out.net.specs[-1]
-    out.net.specs[-1] = nn.LayerSpec("linear", spec.in_dim, spec.out_dim + 1)
-    out.net.bump_version()
+    n = critic.n_terms
+    new_col = rng.standard_normal((critic.feature_dim, 1)) * init_scale
+
+    def fill(old: np.ndarray, new: np.ndarray) -> None:
+        new[..., :n] = old
+
+    out = _rebuild_head(critic, n + 1, fill)
+    out.net.blocks[-1].w[:, n:] = new_col
     return out
 
 
@@ -124,17 +120,29 @@ def remove_reward_term(critic: VectorCritic, index: int) -> VectorCritic:
     """New critic with head ``index`` deleted; the rest are bit-identical."""
     if not 0 <= index < critic.n_terms:
         raise ConfigError(f"no reward term {index} to remove")
-    out = critic.copy()
-    blk = out.net.blocks[-1]
     keep = [j for j in range(critic.n_terms) if j != index]
-    for name in ("w", "gw", "mw", "vw"):
-        setattr(blk, name, np.ascontiguousarray(getattr(blk, name)[:, keep]))
-    for name in ("b", "gb", "mb", "vb"):
-        setattr(blk, name, np.ascontiguousarray(getattr(blk, name)[keep]))
-    spec = out.net.specs[-1]
-    out.net.specs[-1] = nn.LayerSpec("linear", spec.in_dim, spec.out_dim - 1)
-    out.net.bump_version()
-    return out
+
+    def fill(old: np.ndarray, new: np.ndarray) -> None:
+        new[...] = old[..., keep]
+
+    return _rebuild_head(critic, critic.n_terms - 1, fill)
+
+
+def _rebuild_head(critic: VectorCritic, n_terms: int, fill) -> VectorCritic:
+    """Fresh critic with ``n_terms`` heads.  Every layer below the head keeps
+    its parameters and optimizer state; ``fill(old, new)`` copies each head
+    field (parameters, gradients, Adam moments) into the new head."""
+    net = critic.net
+    spec = net.specs[-1]
+    specs = [*net.specs[:-1], nn.LayerSpec("linear", spec.in_dim, n_terms)]
+    out = nn.Network(specs, nn.arena_blocks(specs))
+    old_head, new_head = net.blocks[-1], out.blocks[-1]
+    for name in ("params", "grads", "m", "v"):
+        getattr(out.arena, name)[: old_head.start] = getattr(net.arena, name)[: old_head.start]
+    out.arena.step_count = net.arena.step_count
+    for name in ("w", "b", "gw", "gb", "mw", "mb", "vw", "vb"):
+        fill(getattr(old_head, name), getattr(new_head, name))
+    return VectorCritic(out)
 
 
 @dataclass

@@ -1,9 +1,13 @@
+import os
+
 import numpy as np
 import pytest
 
 from fieldsac import cli
 from fieldsac.config import TrainConfig, config_to_text, load_config, parse_config_text
 from fieldsac.errors import ConfigError
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 class TestParsing:
@@ -86,8 +90,39 @@ class TestRejectsConfigsThatCannotTrain:
         assert TrainConfig(capacity=32, batch=32).capacity == 32
 
     @pytest.mark.parametrize(
+        "key, bad, edge",
+        [
+            # each of these used to be accepted and then die mid-run or learn nothing
+            ("tau", [5.0, 0.0, -0.1, float("nan")], 1.0),
+            ("eta", [7.0, -0.1, 1.5], 0.0),
+            ("lr_actor", [0.0, -1.0], 1e-9),
+            ("lr_critic", [-1.0, 0.0], 1e-9),
+            ("lr_alpha", [0.0, -3e-4], 1e-9),
+            ("init_alpha", [0.0, -0.2], 1e-9),
+            ("rescale_eps", [-1.0, 0.0], 1e-9),
+            ("anneal_start", [-0.5, 1.5], 0.0),
+            ("anneal_end", [1.01, -0.1], 1.0),
+        ],
+    )
+    def test_out_of_range_rejected_naming_the_key(self, key, bad, edge):
+        for value in bad:
+            with pytest.raises(ConfigError, match=key):
+                load_config(overrides={key: str(value)})
+        assert getattr(load_config(overrides={key: str(edge)}), key) == edge
+
+    def test_shipped_configs_stay_valid(self):
+        for path in ("configs/desk.txt", "configs/fullscale.txt"):
+            load_config(os.path.join(ROOT, path))
+
+    @pytest.mark.parametrize(
         "flags, key",
-        [(["--anneal_steps", "0"], "anneal_steps"), (["--capacity", "10", "--batch", "32"], "capacity")],
+        [
+            (["--anneal_steps", "0"], "anneal_steps"),
+            (["--capacity", "10", "--batch", "32"], "capacity"),
+            (["--tau", "5"], "tau"),
+            (["--eta", "7"], "eta"),
+            (["--lr_critic", "-1"], "lr_critic"),
+        ],
     )
     def test_cli_exits_one_naming_the_key(self, tmp_path, capsys, flags, key):
         rc = cli.main(["pretrain", "--out", str(tmp_path / "run"), *flags])

@@ -243,7 +243,8 @@ class TestVerify:
         cfg = distill.DistillConfig(field_dim=2, batch=8, student_hidden=6, max_steps=5, kl_stop=1e-12)
         path = str(tmp_path / "distill.csv")
         distill.run_distillation(actor, critic, rng.standard_normal((32, 2)), np.ones(NUM_TERMS), cfg, metrics_path=path)
-        rows = open(path).read().strip().split("\n")
+        with open(path) as f:
+            rows = f.read().strip().split("\n")
         assert rows[0] == "step,kl_loss,q_loss"
         assert len(rows) >= 2
         step, kl, q = rows[1].split(",")

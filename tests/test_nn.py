@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fieldsac import nn
+from fieldsac import distill, nn, sac
 from fieldsac.errors import ConfigError, ContractViolation, NumericFault
 
 
@@ -205,8 +205,13 @@ class TestKernelFormulas:
         g = rng.standard_normal(h.shape)
         w, b = rng.standard_normal((1, 16)), rng.standard_normal(16)
         net = nn.Network([nn.LayerSpec("layer_norm", 16, 16)], [nn.ParamBlock(w, b)])
-        _, tape = nn.forward(net, h)
+        y, tape = nn.forward(net, h)
         xhat, inv = tape.records[0]
+        old_xhat = h - h.mean(axis=1, keepdims=True)
+        old_inv = (1.0 / np.sqrt(np.einsum("ij,ij->i", old_xhat, old_xhat) / 16 + nn.LN_EPS))[:, None]
+        old_xhat *= old_inv
+        assert _same_bits(xhat, old_xhat) and _same_bits(inv, old_inv)
+        assert _same_bits(y, old_xhat * w[0] + b)
         dxhat = g * w[0]
         m1 = dxhat.mean(axis=1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
@@ -249,6 +254,247 @@ class TestKernelFormulas:
         net = nn.Network(specs, [None] * 4)
         with pytest.raises(NumericFault, match=r"layer 3 \(residual_end\)"):
             nn.forward(net, np.array([[1e308, 1.0]]))
+
+
+class TestFiniteScans:
+    """``forward`` scans only at the output and before relu/elu; a fault
+    anywhere must still be caught and named by its first layer."""
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("activation", ["relu", "elu"])
+    def test_hidden_linear_overflow_into_activation_names_the_linear(self, activation):
+        # -inf straight into relu/elu comes out finite (0 or -1), so a scan
+        # at the output alone would miss it
+        specs = [nn.LayerSpec("linear", 2, 2), nn.LayerSpec("elu", 2, 2), nn.LayerSpec("linear", 2, 2),
+                 nn.LayerSpec(activation, 2, 2), nn.LayerSpec("linear", 2, 1)]
+        blocks = [nn.ParamBlock(np.eye(2), np.zeros(2)), None,
+                  nn.ParamBlock(np.array([[-1e308, 1.0], [-1e308, 1.0]]), np.zeros(2)), None,
+                  nn.ParamBlock(np.ones((2, 1)), np.zeros(1))]
+        net = nn.Network(specs, blocks)
+        assert net.finite_scans == (True, False, True, False, True)
+        with pytest.raises(NumericFault, match=r"layer 2 \(linear\)"):
+            nn.forward(net, np.array([[2.0, 2.0]]))
+
+    def test_nan_into_first_layer_relu_is_named_after_the_output_scan(self):
+        # layer 0 is not scanned itself (a linear follows); the output scan
+        # fails and the checking pass names layer 0
+        specs = [nn.LayerSpec("relu", 3, 3), nn.LayerSpec("linear", 3, 2)]
+        net = nn.Network(specs, [None, nn.ParamBlock(np.ones((3, 2)), np.zeros(2))])
+        assert net.finite_scans == (False, True)
+        with pytest.raises(NumericFault, match=r"layer 0 \(relu\)"):
+            nn.forward(net, np.array([[1.0, np.nan, -1.0]]))
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("after", ["elu", "linear"])
+    def test_layer_norm_overflow_names_the_layer_norm(self, after):
+        # a huge gain overflows the layer-norm output to inf
+        specs = [nn.LayerSpec("linear", 3, 3), nn.LayerSpec("layer_norm", 3, 3), nn.LayerSpec(after, 3, 3),
+                 nn.LayerSpec("linear", 3, 1)]
+        blocks = [nn.ParamBlock(np.eye(3), np.zeros(3)), nn.ParamBlock(np.full((1, 3), 1.7e308), np.zeros(3)),
+                  nn.ParamBlock(np.eye(3), np.zeros(3)) if after == "linear" else None,
+                  nn.ParamBlock(np.ones((3, 1)), np.zeros(1))]
+        net = nn.Network(specs, blocks)
+        with pytest.raises(NumericFault, match=r"layer 1 \(layer_norm\)"):
+            nn.forward(net, np.array([[0.0, 0.0, 1.0]]))
+
+    def test_mlp_scans_four_layers(self):
+        net = nn.build_mlp(5, 8, 3, np.random.default_rng(0), activation="relu")
+        assert [i for i, scan in enumerate(net.finite_scans) if scan] == [1, 5, 10, 13]
+
+
+def _assert_blocks_on_arena(net):
+    """Every block field is a view into the network's arena, laid out block
+    by block with w (row-major) then b."""
+    arena = net.arena
+    off = 0
+    for blk in net.param_blocks():
+        assert blk.arena is arena and blk.start == off
+        for vec, fields in ((arena.params, ("w", "b")), (arena.grads, ("gw", "gb")), (arena.m, ("mw", "mb")), (arena.v, ("vw", "vb"))):
+            wf, bf = (getattr(blk, f) for f in fields)
+            assert np.shares_memory(wf, vec) and np.shares_memory(bf, vec)
+            assert _same_bits(vec[off : off + wf.size], wf.reshape(-1))
+            assert _same_bits(vec[off + wf.size : off + wf.size + bf.size], bf)
+        off += blk.n_params()
+    assert off == arena.params.size == net.n_params()
+    for vec in (arena.params, arena.grads, arena.m, arena.v):
+        assert vec.dtype == np.float64 and vec.ndim == 1 and vec.flags.c_contiguous
+
+
+def _trained_net(seed=30):
+    """A small net with non-zero parameters, gradients and Adam state."""
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, in_dim=4, hidden=6, out_dim=7)
+    for _ in range(2):
+        x = rng.standard_normal((5, 4))
+        y, tape = nn.forward(net, x)
+        nn.backward(net, tape, rng.standard_normal(y.shape))
+        nn.adam_step_net(net, 1e-2)
+    y, tape = nn.forward(net, rng.standard_normal((5, 4)))
+    nn.backward(net, tape, rng.standard_normal(y.shape))
+    return net
+
+
+class TestArena:
+    def test_build_mlp_and_copy(self):
+        net = _trained_net()
+        _assert_blocks_on_arena(net)
+        dup = net.copy()
+        _assert_blocks_on_arena(dup)
+        assert not np.shares_memory(dup.arena.params, net.arena.params)
+        for name in ("params", "grads", "m", "v"):
+            assert _same_bits(getattr(dup.arena, name), getattr(net.arena, name))
+        assert dup.arena.step_count == net.arena.step_count == 2
+
+    def test_network_adopts_lone_blocks(self):
+        rng = np.random.default_rng(31)
+        specs = [nn.LayerSpec("linear", 3, 4), nn.LayerSpec("layer_norm", 4, 4), nn.LayerSpec("relu", 4, 4),
+                 nn.LayerSpec("linear", 4, 2)]
+        blocks = [nn.ParamBlock(rng.standard_normal((3, 4)), rng.standard_normal(4)),
+                  nn.ParamBlock(rng.standard_normal((1, 4)), rng.standard_normal(4)), None,
+                  nn.ParamBlock(rng.standard_normal((4, 2)), rng.standard_normal(2))]
+        before = [(b.w.copy(), b.b.copy()) for b in blocks if b is not None]
+        net = nn.Network(specs, blocks)
+        _assert_blocks_on_arena(net)
+        assert all(a is b for a, b in zip(net.blocks, blocks))
+        for blk, (w, b) in zip(net.param_blocks(), before):
+            assert _same_bits(blk.w, w) and _same_bits(blk.b, b)
+
+    def test_blocks_of_another_network_are_copied_not_moved(self):
+        donor = _trained_net()
+        donor_params = donor.arena.params.copy()
+        part = nn.Network(donor.specs[-1:], donor.blocks[-1:])
+        _assert_blocks_on_arena(part)
+        _assert_blocks_on_arena(donor)
+        assert _same_bits(part.arena.params, donor_params[-part.n_params():])
+        part.arena.params[:] = 0.0
+        assert _same_bits(donor.arena.params, donor_params)
+
+    def test_mixed_step_counts_rejected(self):
+        a = nn.ParamBlock(np.zeros((1, 1)), np.zeros(1))
+        b = nn.ParamBlock(np.zeros((1, 1)), np.zeros(1))
+        nn.adam_step(a, 1e-3)
+        specs = [nn.LayerSpec("linear", 1, 1), nn.LayerSpec("linear", 1, 1)]
+        with pytest.raises(ConfigError, match="step count"):
+            nn.Network(specs, [a, b])
+
+    def test_load_network(self, tmp_path):
+        net = _trained_net()
+        prefix = str(tmp_path / "net")
+        nn.save_network(net, prefix, with_optimizer=True)
+        loaded = nn.load_network(prefix)
+        _assert_blocks_on_arena(loaded)
+        for name in ("params", "m", "v"):
+            assert _same_bits(getattr(loaded.arena, name), getattr(net.arena, name))
+        assert loaded.arena.step_count == 2 and not loaded.arena.grads.any()
+
+    def test_load_rejects_blocks_with_different_step_counts(self, tmp_path):
+        net = _trained_net()
+        prefix = str(tmp_path / "net")
+        _, bin_path = nn.save_network(net, prefix, with_optimizer=True)
+        blob = np.fromfile(bin_path, dtype="<f8")
+        first = net.param_blocks()[0]
+        blob[net.n_params() + 2 * first.n_params()] = 5.0  # the first block's stored step count
+        blob.tofile(bin_path)
+        with pytest.raises(ConfigError, match="step count"):
+            nn.load_network(prefix)
+
+    def test_clones_into_students(self):
+        net = _trained_net()
+        actor = distill.clone_actor_into_student(net, field_dim=3)
+        critic = distill.clone_critic_into_student(sac.VectorCritic(net), obs_dim=2, field_dim=3)
+        for clone in (actor, critic.net):
+            _assert_blocks_on_arena(clone)
+            k = clone.param_blocks()[0].n_params() - net.param_blocks()[0].n_params()
+            assert _same_bits(clone.arena.params[clone.param_blocks()[0].stop :], net.arena.params[net.param_blocks()[0].stop :])
+            assert k == 3 * net.specs[0].out_dim
+            # a clone starts with fresh optimizer state
+            assert clone.arena.step_count == 0 and not (clone.arena.m.any() or clone.arena.v.any())
+
+    def test_reward_head_surgery(self):
+        net = _trained_net()
+        critic = sac.VectorCritic(net)
+        ext = sac.extend_reward_term(critic, 0.5, np.random.default_rng(32))
+        cut = sac.remove_reward_term(critic, 2)
+        head = net.param_blocks()[-1]
+        for out, cols in ((ext, list(range(7))), (cut, [0, 1, 3, 4, 5, 6])):
+            _assert_blocks_on_arena(out.net)
+            new_head = out.net.param_blocks()[-1]
+            below = head.start
+            for name in ("params", "grads", "m", "v"):
+                assert _same_bits(getattr(out.net.arena, name)[:below], getattr(net.arena, name)[:below])
+            for name in ("w", "gw", "mw", "vw"):
+                assert _same_bits(getattr(new_head, name)[:, : len(cols)], getattr(head, name)[:, cols])
+            for name in ("b", "gb", "mb", "vb"):
+                assert _same_bits(getattr(new_head, name)[: len(cols)], getattr(head, name)[cols])
+            assert out.net.arena.step_count == net.arena.step_count
+        assert not ext.net.param_blocks()[-1].gw[:, 7].any() and ext.net.param_blocks()[-1].b[7] == 0.0
+
+
+class TestWholeVectorUpdates:
+    """Whole-arena Adam and soft updates against the per-block formulas
+    they replaced."""
+
+    def test_adam_step_net_equals_per_block_formula(self):
+        rng = np.random.default_rng(33)
+        net = _trained_net()
+        ref = [dict(w=b.w.copy(), b=b.b.copy(), mw=b.mw.copy(), vw=b.vw.copy(), mb=b.mb.copy(), vb=b.vb.copy()) for b in net.param_blocks()]
+        t = net.arena.step_count
+        for step in range(3):
+            grads = [(rng.standard_normal(b.w.shape), rng.standard_normal(b.b.shape)) for b in net.param_blocks()]
+            if step:
+                for blk, (gw, gb) in zip(net.param_blocks(), grads):
+                    blk.gw[...] = gw
+                    blk.gb[...] = gb
+            else:
+                grads = [(b.gw.copy(), b.gb.copy()) for b in net.param_blocks()]
+            lr, b1, b2, eps = 1e-2, nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS
+            t += 1
+            c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+            for r, (gw, gb) in zip(ref, grads):
+                for p, gr, m, v in (("w", gw, "mw", "vw"), ("b", gb, "mb", "vb")):
+                    r[m] *= b1
+                    r[m] += (1.0 - b1) * gr
+                    r[v] *= b2
+                    r[v] += (1.0 - b2) * gr * gr
+                    r[p] -= lr * (r[m] / c1) / (np.sqrt(r[v] / c2) + eps)
+            nn.adam_step_net(net, lr)
+            assert net.arena.step_count == t and not net.arena.grads.any()
+            for blk, r in zip(net.param_blocks(), ref):
+                for name, value in r.items():
+                    assert _same_bits(getattr(blk, name), value), name
+
+    def test_adam_step_net_aborts_before_touching_any_block(self):
+        net = _trained_net()
+        before = net.arena.copy()
+        net.param_blocks()[-1].gb[0] = np.inf
+        with pytest.raises(NumericFault):
+            nn.adam_step_net(net, 1e-2)
+        assert net.arena.step_count == before.step_count
+        for name in ("params", "m", "v"):
+            assert _same_bits(getattr(net.arena, name), getattr(before, name))
+
+    def test_soft_update_net_equals_per_block_formula(self):
+        online = _trained_net(34)
+        target = _trained_net(35)
+        tau = 0.005
+        ref = [(t.w.copy(), t.b.copy()) for t in target.param_blocks()]
+        for (w, b), o in zip(ref, online.param_blocks()):
+            w *= 1.0 - tau
+            w += tau * o.w
+            b *= 1.0 - tau
+            b += tau * o.b
+        version = target.version
+        nn.soft_update_net(target, online, tau)
+        assert target.version == version + 1
+        for t, (w, b) in zip(target.param_blocks(), ref):
+            assert np.array_equal(t.w, w) and np.array_equal(t.b, b)
+
+    def test_soft_update_rejects_other_shapes(self):
+        rng = np.random.default_rng(36)
+        a = nn.build_mlp(3, 4, 2, rng)
+        b = nn.build_mlp(3, 4, 3, rng)
+        with pytest.raises(ConfigError):
+            nn.soft_update_net(a, b, 0.5)
 
 
 class TestGradCheck:
@@ -400,7 +646,9 @@ class TestSerialization:
         net = random_net(rng)
         prefix = str(tmp_path / "net")
         _, bin_path = nn.save_network(net, prefix)
-        blob = open(bin_path, "rb").read()
-        open(bin_path, "wb").write(blob[:-16])
+        with open(bin_path, "rb") as f:
+            blob = f.read()
+        with open(bin_path, "wb") as f:
+            f.write(blob[:-16])
         with pytest.raises(ConfigError):
             nn.load_network(prefix)
