@@ -23,7 +23,7 @@ print(f"artifacts under {root}\n")
 # bonus: the agent just learns to move fast in a seed-dependent direction.
 pre_cfg = TrainConfig(
     stage="pretrain", seed=1, num_samplers=4, hidden=64, batch=32,
-    total_env_steps=20_000, epoch_env_steps=2_500, single_thread=True,
+    total_env_steps=20_000, epoch_env_steps=2_500,
     capacity=20_000, publish_every=50, lr_actor=3e-4, lr_critic=1e-3,
     stop_at_eval_speed=0.7,
 )
@@ -46,7 +46,7 @@ print(f"distill: holdout KL {dist.report.mean_kl:.5f} nats, max action gap {dist
 bundle = pipeline.load_checkpoint(dist.checkpoint_dir)
 fin_cfg = TrainConfig(
     stage="finetune", seed=11, difficulty=2, num_samplers=4, hidden=64, batch=32,
-    total_env_steps=40_000, epoch_env_steps=5_000, single_thread=True,
+    total_env_steps=40_000, epoch_env_steps=5_000,
     capacity=20_000, publish_every=50, lr_actor=3e-4, lr_critic=1e-3,
     stop_at_sink_fraction=0.8,
 )

@@ -51,7 +51,7 @@ class TrainConfig:
     min_store_segments: int = 0  # 0 means "one batch"
     env_w_vel: float = 1.0
     horizon: int = 1000
-    single_thread: bool = False
+    single_thread: bool = False  # selects nothing: every run interleaves samplers and learner in one loop
     stop_at_eval_speed: float = 0.0  # 0 disables early stopping
     stop_at_sink_fraction: float = 0.0
 
@@ -80,6 +80,11 @@ class TrainConfig:
                 raise ConfigError(f"{key} must be positive, not {getattr(self, key)}")
         if self.anneal_steps < 1:
             raise ConfigError(f"anneal_steps must be at least 1, not {self.anneal_steps}")
+        if 0 < self.min_store_segments < self.batch:
+            raise ConfigError(
+                f"min_store_segments ({self.min_store_segments}) is below batch ({self.batch}): the learner could not "
+                "sample its first batch; use 0 to wait for one batch"
+            )
         if self.capacity < self.min_segments_to_learn:
             raise ConfigError(
                 f"capacity ({self.capacity}) is below the {self.min_segments_to_learn} segments learning waits for "

@@ -1,26 +1,23 @@
 """Sampler/learner pipeline, evaluation, checkpoints and metrics.
 
 Several samplers roll episodes on private environment copies and append
-prioritized segments to the shared store; a single learner samples
-batches, applies the actor/critic/temperature updates, repriorizes, and
+prioritized segments to the store; a single learner samples batches,
+applies the actor/critic/temperature updates, repriorizes, and
 periodically publishes an immutable policy snapshot that the samplers
-pick up.  The learner is throttled so that
+pick up.  One loop interleaves them: every sampler takes one step, then
+the learner steps while it is under the throttle
     learner_steps <= replay_ratio * segments_appended / num_samplers.
 
 Seeds: sampler i rolls episode k with seed
     seed * 10_000_000 + (i + 1) * 1_000_000 + k
 and evaluation episode j uses seed * 10_000_000 + 999_000_000 + j, so a
-run is fully reproducible from (seed, num_samplers).
-
-``single_thread=True`` interleaves samplers and learner deterministically
-(bit-identical checkpoints across runs); the threaded mode shares only
-the store (linearizable operations) and the snapshot hub (atomic swap).
+run is fully reproducible from (seed, num_samplers): two runs with the
+same config write bit-identical checkpoints.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -68,29 +65,24 @@ class PolicySnapshot:
 
 
 class PolicySnapshotHub:
-    """Atomic publish/fetch of read-only policy copies; versions only grow."""
+    """Publish/fetch of read-only policy copies; versions only grow."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._snap: PolicySnapshot | None = None
 
     def publish(self, actor: nn.Network, alpha: float) -> int:
-        frozen = _freeze(actor)
-        with self._lock:
-            version = (self._snap.version if self._snap else 0) + 1
-            self._snap = PolicySnapshot(version, frozen, float(alpha))
-            return version
+        version = self.version + 1
+        self._snap = PolicySnapshot(version, _freeze(actor), float(alpha))
+        return version
 
     def current(self) -> PolicySnapshot:
-        with self._lock:
-            if self._snap is None:
-                raise ConfigError("no policy snapshot published yet")
-            return self._snap
+        if self._snap is None:
+            raise ConfigError("no policy snapshot published yet")
+        return self._snap
 
     @property
     def version(self) -> int:
-        with self._lock:
-            return self._snap.version if self._snap else 0
+        return self._snap.version if self._snap else 0
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +92,11 @@ class PolicySnapshotHub:
 class Sampler:
     """Owns one environment; streams prioritized segments into the store."""
 
-    def __init__(self, sid: int, cfg: TrainConfig, store: PrioritizedStore, hub: PolicySnapshotHub, segment_cond: threading.Condition | None = None):
+    def __init__(self, sid: int, cfg: TrainConfig, store: PrioritizedStore, hub: PolicySnapshotHub):
         self.sid = sid
         self.cfg = cfg
         self.store = store
         self.hub = hub
-        self.segment_cond = segment_cond
         self.env = PointMassEnv(
             reward_cfg=EnvRewardConfig(w_vel=cfg.effective_env_w_vel),
             directional_pvb=cfg.directional_pvb,
@@ -165,11 +156,7 @@ class Sampler:
             self._cutter = None
             self.env._done = True
             return 0
-        if appended:
-            self.segments_emitted += appended
-            if self.segment_cond is not None:
-                with self.segment_cond:
-                    self.segment_cond.notify_all()
+        self.segments_emitted += appended
         return appended
 
 
@@ -178,7 +165,7 @@ class Sampler:
 
 
 class Learner:
-    """Owns every mutable parameter; one step is a critical section."""
+    """Owns every mutable parameter; ``step`` is one full SAC update."""
 
     def __init__(
         self,
@@ -342,15 +329,20 @@ def load_checkpoint(directory: str) -> CheckpointBundle:
     )
 
 
-def checkpoint_fingerprint(directory: str) -> bytes:
-    """Byte-exact digest material for reproducibility checks."""
-    parts = []
-    for name in _CKPT_NETS:
-        with open(os.path.join(directory, name + ".bin"), "rb") as f:
-            parts.append(f.read())
-    with open(os.path.join(directory, "meta.txt"), "rb") as f:
-        parts.append(f.read())
-    return b"".join(parts)
+def checkpoint_fingerprint(directory: str) -> bytearray:
+    """Byte-exact digest material for reproducibility checks: the five
+    network blobs then ``meta.txt``, read into one buffer."""
+    paths = [os.path.join(directory, name + ".bin") for name in _CKPT_NETS] + [os.path.join(directory, "meta.txt")]
+    sizes = [os.path.getsize(p) for p in paths]
+    buf = bytearray(sum(sizes))
+    with memoryview(buf) as view:
+        off = 0
+        for path, n in zip(paths, sizes):
+            with open(path, "rb") as f:
+                if f.readinto(view[off : off + n]) != n:
+                    raise ConfigError(f"{path} changed size while it was read")
+            off += n
+    return buf
 
 
 # ---------------------------------------------------------------------------
@@ -563,8 +555,7 @@ def train_stage(
     assert len(store) == 0  # every stage starts from an empty replay
     hub = PolicySnapshotHub()
     learner = Learner(cfg, store, hub, actor, ensemble)
-    segment_cond = threading.Condition()
-    samplers = [Sampler(i, cfg, store, hub, segment_cond) for i in range(cfg.num_samplers)]
+    samplers = [Sampler(i, cfg, store, hub) for i in range(cfg.num_samplers)]
     metrics = MetricsWriter(os.path.join(out_dir, "metrics.csv"))
     reward_cfg = EnvRewardConfig(w_vel=cfg.effective_env_w_vel)
     t0 = time.time()
@@ -612,48 +603,18 @@ def train_stage(
         return sum(s.env_steps for s in samplers)
 
     try:
-        if cfg.single_thread:
-            next_epoch = cfg.epoch_env_steps
-            while total_env_steps() < cfg.total_env_steps and not stopped:
-                for s in samplers:
-                    s.tick()
-                while learner.throttle_ok() and len(store) >= cfg.min_segments_to_learn:
-                    learner.step()
-                if total_env_steps() >= next_epoch:
-                    epoch += 1
-                    next_epoch += cfg.epoch_env_steps
-                    last_report = run_eval()
-                    write_epoch_row(last_report, total_env_steps())
-                    stopped = _stop_reached(cfg, last_report)
-        else:
-            stop_event = threading.Event()
-
-            def sampler_loop(s: Sampler) -> None:
-                while not stop_event.is_set() and total_env_steps() < cfg.total_env_steps:
-                    s.tick()
-
-            threads = [threading.Thread(target=sampler_loop, args=(s,), daemon=True) for s in samplers]
-            for t in threads:
-                t.start()
-            next_epoch = cfg.epoch_env_steps
-            while not stopped:
-                steps_now = total_env_steps()
-                if learner.throttle_ok() and len(store) >= cfg.min_segments_to_learn:
-                    learner.step()
-                else:
-                    if steps_now >= cfg.total_env_steps:
-                        break
-                    with segment_cond:
-                        segment_cond.wait(timeout=0.05)
-                if steps_now >= next_epoch:
-                    epoch += 1
-                    next_epoch += cfg.epoch_env_steps
-                    last_report = run_eval()
-                    write_epoch_row(last_report, steps_now)
-                    stopped = _stop_reached(cfg, last_report)
-            stop_event.set()
-            for t in threads:
-                t.join(timeout=10.0)
+        next_epoch = cfg.epoch_env_steps
+        while total_env_steps() < cfg.total_env_steps and not stopped:
+            for s in samplers:
+                s.tick()
+            while learner.throttle_ok() and len(store) >= cfg.min_segments_to_learn:
+                learner.step()
+            if total_env_steps() >= next_epoch:
+                epoch += 1
+                next_epoch += cfg.epoch_env_steps
+                last_report = run_eval()
+                write_epoch_row(last_report, total_env_steps())
+                stopped = _stop_reached(cfg, last_report)
     except NumericFault:
         save_checkpoint(os.path.join(out_dir, "faulted"), learner.actor, ensemble, learner.log_alpha, cfg, learner.steps, total_env_steps())
         raise

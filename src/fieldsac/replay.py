@@ -10,15 +10,11 @@ Priorities mix the max and mean of per-step TD magnitudes
 O(log n) proportional sampling, and are sharpened by an annealed
 exponent alpha.  Importance weights follow (N * P)^-beta, normalized by
 the batch maximum.
-
-The store is safe for many writer threads plus one reader/updater: every
-public operation takes the internal lock and is atomic.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,53 +280,48 @@ class PrioritizedStore:
         self._next = 0
         self._size = 0
         self._max_raw = 0.0
-        self._lock = threading.Lock()
         self.appended_total = 0
         self.evicted_total = 0
         self.stale_updates = 0
         self.clamped_priorities = 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return self._size
+        return self._size
 
     def max_priority(self) -> float:
-        with self._lock:
-            return self._max_raw if self._size else 1.0
+        return self._max_raw if self._size else 1.0
 
     def append(self, seg: Segment, priority: float | None = None):
         """Store a segment; returns its (slot, generation) id."""
         validate_segment(seg, self.seg_len, self.n_tail)
-        with self._lock:
-            raw = float(priority) if priority is not None else (self._max_raw if self._size else 1.0)
-            if raw < self.priority_floor:
-                if raw < 0.0:
-                    self.clamped_priorities += 1
-                raw = self.priority_floor
-            slot = self._next
-            if self._slots[slot] is not None:
-                self.evicted_total += 1
-            self._slots[slot] = seg
-            self._raw_p[slot] = raw
-            self._gen[slot] += 1
-            self._tree.set_many([slot], [raw**self.alpha])
-            self._next = (self._next + 1) % self.capacity
-            self._size = min(self._size + 1, self.capacity)
-            self._max_raw = max(self._max_raw, raw)
-            self.appended_total += 1
-            return (slot, int(self._gen[slot]))
+        raw = float(priority) if priority is not None else (self._max_raw if self._size else 1.0)
+        if raw < self.priority_floor:
+            if raw < 0.0:
+                self.clamped_priorities += 1
+            raw = self.priority_floor
+        slot = self._next
+        if self._slots[slot] is not None:
+            self.evicted_total += 1
+        self._slots[slot] = seg
+        self._raw_p[slot] = raw
+        self._gen[slot] += 1
+        self._tree.set_many([slot], [raw**self.alpha])
+        self._next = (self._next + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
+        self._max_raw = max(self._max_raw, raw)
+        self.appended_total += 1
+        return (slot, int(self._gen[slot]))
 
     def set_exponents(self, alpha: float, beta: float) -> None:
         """Advance the annealed exponents; re-exponentiates the tree lazily."""
-        with self._lock:
-            self.beta = beta
-            if alpha != self.alpha:
-                self.alpha = alpha
-                leaves = np.zeros(self.capacity)
-                if self._size:
-                    filled = slice(0, self._size)
-                    leaves[filled] = self._raw_p[filled] ** alpha
-                self._tree.rebuild(leaves)
+        self.beta = beta
+        if alpha != self.alpha:
+            self.alpha = alpha
+            leaves = np.zeros(self.capacity)
+            if self._size:
+                filled = slice(0, self._size)
+                leaves[filled] = self._raw_p[filled] ** alpha
+            self._tree.rebuild(leaves)
 
     def _draw_slots(self, n: int, rng: np.random.Generator) -> np.ndarray:
         total = self._tree.total()
@@ -344,21 +335,19 @@ class PrioritizedStore:
         Diagnostic surface: unlike ``sample`` it has no batch-readiness
         requirement beyond a non-empty store.
         """
-        with self._lock:
-            if self._size == 0:
-                raise NotReadyError("store is empty")
-            return self._draw_slots(n, rng)
+        if self._size == 0:
+            raise NotReadyError("store is empty")
+        return self._draw_slots(n, rng)
 
     def sample(self, batch: int, rng: np.random.Generator) -> SampleBatch:
-        with self._lock:
-            if self._size < batch:
-                raise NotReadyError(f"store holds {self._size} segments; batch needs {batch}")
-            slots = self._draw_slots(batch, rng)
-            probs = self._tree.leaves(slots) / self._tree.total()
-            weights = (self._size * probs) ** (-self.beta)
-            weights /= weights.max()
-            segs = [self._slots[s] for s in slots]
-            ids = [(int(s), int(self._gen[s])) for s in slots]
+        if self._size < batch:
+            raise NotReadyError(f"store holds {self._size} segments; batch needs {batch}")
+        slots = self._draw_slots(batch, rng)
+        probs = self._tree.leaves(slots) / self._tree.total()
+        weights = (self._size * probs) ** (-self.beta)
+        weights /= weights.max()
+        segs = [self._slots[s] for s in slots]
+        ids = [(int(s), int(self._gen[s])) for s in slots]
         return SampleBatch(
             obs=np.stack([s.obs for s in segs]),
             actions=np.stack([s.actions for s in segs]),
@@ -371,73 +360,71 @@ class PrioritizedStore:
 
     def update_priorities(self, ids, new_priorities) -> None:
         new_priorities = np.asarray(new_priorities, dtype=np.float64)
-        with self._lock:
-            slots, values = [], []
-            for (slot, gen), raw in zip(ids, new_priorities):
-                if self._gen[slot] != gen or self._slots[slot] is None:
-                    self.stale_updates += 1
-                    continue
-                if raw < self.priority_floor:
-                    if raw < 0.0:
-                        self.clamped_priorities += 1
-                    raw = self.priority_floor
-                slots.append(slot)
-                values.append(raw)
-            if not slots:
-                return
-            values = np.asarray(values)
-            self._raw_p[slots] = values
-            self._tree.set_many(slots, values**self.alpha)
-            self._max_raw = max(self._max_raw, float(values.max()))
+        slots, values = [], []
+        for (slot, gen), raw in zip(ids, new_priorities):
+            if self._gen[slot] != gen or self._slots[slot] is None:
+                self.stale_updates += 1
+                continue
+            if raw < self.priority_floor:
+                if raw < 0.0:
+                    self.clamped_priorities += 1
+                raw = self.priority_floor
+            slots.append(slot)
+            values.append(raw)
+        if not slots:
+            return
+        values = np.asarray(values)
+        self._raw_p[slots] = values
+        self._tree.set_many(slots, values**self.alpha)
+        self._max_raw = max(self._max_raw, float(values.max()))
 
     def brute_force_total(self) -> float:
         """Oracle: sum of priority^alpha recomputed from scratch."""
-        with self._lock:
-            if not self._size:
-                return 0.0
-            return float((self._raw_p[: self._size] ** self.alpha).sum())
+        if not self._size:
+            return 0.0
+        return float((self._raw_p[: self._size] ** self.alpha).sum())
 
     # -- snapshot: text manifest + one float64 little-endian blob ----------
 
     def save(self, directory: str) -> tuple[str, str]:
         os.makedirs(directory, exist_ok=True)
-        with self._lock:
-            segs = [self._slots[i] for i in range(self._size)]
-            meta = {
-                "format": "fieldsac-replay-v1",
-                "capacity": self.capacity,
-                "size": self._size,
-                "next": self._next,
-                "alpha": repr(self.alpha),
-                "beta": repr(self.beta),
-                "eta": repr(self.eta),
-                "priority_floor": repr(self.priority_floor),
-                "seg_len": self.seg_len,
-                "n_tail": self.n_tail,
-                "obs_dim": segs[0].obs.shape[1] if segs else 0,
-                "act_dim": segs[0].actions.shape[1] if segs else 0,
-                "appended_total": self.appended_total,
-                "evicted_total": self.evicted_total,
-                "max_raw": repr(self._max_raw),
-            }
-            parts = []
-            for s in segs:
-                parts += [
-                    s.obs.reshape(-1),
-                    s.actions.reshape(-1),
-                    s.rewards.reshape(-1),
-                    s.dones.astype(np.float64),
-                    np.array([float(s.episode_id), float(s.start_index), float(s.length)]),
-                ]
-            parts.append(self._raw_p[: self._size].copy())
-            parts.append(self._gen[: self._size].astype(np.float64))
-        blob = np.concatenate(parts) if parts else np.zeros(0)
+        segs = [self._slots[i] for i in range(self._size)]
+        meta = {
+            "format": "fieldsac-replay-v1",
+            "capacity": self.capacity,
+            "size": self._size,
+            "next": self._next,
+            "alpha": repr(self.alpha),
+            "beta": repr(self.beta),
+            "eta": repr(self.eta),
+            "priority_floor": repr(self.priority_floor),
+            "seg_len": self.seg_len,
+            "n_tail": self.n_tail,
+            "obs_dim": segs[0].obs.shape[1] if segs else 0,
+            "act_dim": segs[0].actions.shape[1] if segs else 0,
+            "appended_total": self.appended_total,
+            "evicted_total": self.evicted_total,
+            "max_raw": repr(self._max_raw),
+        }
+        # one float64 blob: per segment obs, actions, rewards, dones and
+        # (episode_id, start_index, length); then raw priorities, generations
+        seg_floats = sum(s.obs.size + s.actions.size + s.rewards.size + s.dones.size + 3 for s in segs)
+        blob = np.empty(seg_floats + 2 * self._size, dtype="<f8")
+        off = 0
+        for s in segs:
+            keys = (float(s.episode_id), float(s.start_index), float(s.length))
+            for arr in (s.obs.reshape(-1), s.actions.reshape(-1), s.rewards.reshape(-1), s.dones, keys):
+                n = len(arr)
+                blob[off : off + n] = arr
+                off += n
+        blob[off : off + self._size] = self._raw_p[: self._size]
+        blob[off + self._size :] = self._gen[: self._size]
         man_path = os.path.join(directory, "replay.manifest")
         bin_path = os.path.join(directory, "replay.bin")
         with open(man_path, "w") as f:
             f.write("\n".join(f"{k} = {v}" for k, v in meta.items()) + "\n")
         with open(bin_path, "wb") as f:
-            f.write(blob.astype("<f8").tobytes())
+            f.write(blob.data)
         return man_path, bin_path
 
     @classmethod
@@ -464,6 +451,10 @@ class PrioritizedStore:
             n_tail=int(kv["n_tail"]),
         )
         size, next_slot = int(kv["size"]), int(kv["next"])
+        if not 0 <= size <= store.capacity:
+            raise ConfigError(f"replay manifest size {size} lies outside [0, capacity {store.capacity}]")
+        if not 0 <= next_slot < store.capacity:
+            raise ConfigError(f"replay manifest next {next_slot} lies outside [0, capacity {store.capacity})")
         obs_dim, act_dim = int(kv["obs_dim"]), int(kv["act_dim"])
         L, tail = store.seg_len, store.n_tail
         with open(bin_path, "rb") as f:
@@ -501,11 +492,10 @@ class PrioritizedStore:
 
     def all_observation_rows(self, first_only: bool = False) -> np.ndarray:
         """Every stored trained-step observation row (used by distillation)."""
-        with self._lock:
-            rows = []
-            for i in range(self._size):
-                s = self._slots[i]
-                rows.append(s.obs[:1] if first_only else s.obs[: s.length])
-            if not rows:
-                raise NotReadyError("store is empty")
-            return np.concatenate(rows, axis=0)
+        rows = []
+        for i in range(self._size):
+            s = self._slots[i]
+            rows.append(s.obs[:1] if first_only else s.obs[: s.length])
+        if not rows:
+            raise NotReadyError("store is empty")
+        return np.concatenate(rows, axis=0)

@@ -89,6 +89,15 @@ class TestRejectsConfigsThatCannotTrain:
             TrainConfig(capacity=100, batch=32, min_store_segments=200)
         assert TrainConfig(capacity=32, batch=32).capacity == 32
 
+    def test_min_store_segments_below_batch(self):
+        # the learner used to start at 2 segments and die in sample() with
+        # "store holds 2 segments; batch needs 16", which names no key
+        for bad in (1, 2, 15):
+            with pytest.raises(ConfigError, match="min_store_segments"):
+                TrainConfig(batch=16, min_store_segments=bad)
+        assert TrainConfig(batch=16, min_store_segments=16).min_segments_to_learn == 16
+        assert TrainConfig(batch=16, min_store_segments=0).min_segments_to_learn == 16
+
     @pytest.mark.parametrize(
         "key, bad, edge",
         [
@@ -119,6 +128,7 @@ class TestRejectsConfigsThatCannotTrain:
         [
             (["--anneal_steps", "0"], "anneal_steps"),
             (["--capacity", "10", "--batch", "32"], "capacity"),
+            (["--batch", "16", "--min_store_segments", "2"], "min_store_segments"),
             (["--tau", "5"], "tau"),
             (["--eta", "7"], "eta"),
             (["--lr_critic", "-1"], "lr_critic"),

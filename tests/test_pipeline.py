@@ -5,6 +5,7 @@ import pytest
 
 from fieldsac import cli, distill, nn, pipeline, sac
 from fieldsac.config import TrainConfig
+from fieldsac.env import PointMassEnv
 from fieldsac.errors import ConfigError, NumericFault
 from fieldsac.replay import PrioritizedStore
 
@@ -239,6 +240,11 @@ class TestTrainStage:
         assert os.path.exists(os.path.join(res.replay_dir, "replay.manifest"))
         assert res.learner_steps > 0
         assert res.env_steps >= cfg.total_env_steps
+        parts = []
+        for name in ("actor.bin", "q1.bin", "q2.bin", "q1_target.bin", "q2_target.bin", "meta.txt"):
+            with open(os.path.join(res.checkpoint_dir, name), "rb") as f:
+                parts.append(f.read())
+        assert pipeline.checkpoint_fingerprint(res.checkpoint_dir) == b"".join(parts)
 
     def test_finetune_starts_with_empty_store_and_no_replay_dump(self, tmp_path):
         pre = pipeline.train_stage(tiny_cfg(), str(tmp_path / "pre"))
@@ -266,13 +272,23 @@ class TestTrainStage:
             fps.append(pipeline.checkpoint_fingerprint(res.checkpoint_dir))
         assert fps[0] == fps[1]
 
-    def test_threaded_mode_completes_and_learns(self, tmp_path):
-        cfg = tiny_cfg(single_thread=False, total_env_steps=900, epoch_env_steps=450)
-        res = pipeline.train_stage(cfg, str(tmp_path / "thr"))
-        assert res.learner_steps > 0
-        assert res.env_steps >= cfg.total_env_steps
-        cap = cfg.replay_ratio * res.samplers[0].store.appended_total / cfg.num_samplers
-        assert res.learner_steps <= cap + 1
+    def test_single_thread_key_selects_nothing(self, tmp_path):
+        fps = []
+        for flag in (True, False):
+            cfg = tiny_cfg(single_thread=flag, total_env_steps=600, epoch_env_steps=300)
+            res = pipeline.train_stage(cfg, str(tmp_path / str(flag)))
+            fps.append(pipeline.checkpoint_fingerprint(res.checkpoint_dir))
+        assert fps[0] == fps[1]
+
+    def test_sampler_crash_propagates_instead_of_hanging(self, tmp_path, monkeypatch):
+        # a sampler thread used to die on this while the learner waited on a
+        # condition variable that no one would notify again
+        def crashing_step(self, action):
+            raise RuntimeError("synthetic env crash")
+
+        monkeypatch.setattr(PointMassEnv, "step", crashing_step)
+        with pytest.raises(RuntimeError, match="synthetic env crash"):
+            pipeline.train_stage(tiny_cfg(single_thread=False), str(tmp_path / "run"))
 
     def test_numeric_fault_checkpoints_and_halts(self, tmp_path, monkeypatch):
         cfg = tiny_cfg()

@@ -1,4 +1,4 @@
-import threading
+import dataclasses
 
 import numpy as np
 import pytest
@@ -345,37 +345,44 @@ class TestPrioritizedStore:
         batch = loaded.sample(4, np.random.default_rng(0))
         assert batch.obs.shape[0] == 4
 
-    def test_concurrent_appends_and_samples_stay_consistent(self):
-        store = PrioritizedStore(capacity=256)
-        errors = []
+    def test_snapshot_blob_matches_concatenate_formula(self, tmp_path):
+        rng = np.random.default_rng(23)
+        store = PrioritizedStore(capacity=8, alpha=0.5)
+        for k in range(13):  # wraps the ring, so generations exceed 1
+            seg = make_segment(rng, length=SEG_LEN if k % 3 else 6, start=SEG_STRIDE * k)
+            store.append(dataclasses.replace(seg, episode_id=10_000_000 * k + 1_000_003), priority=float(rng.uniform(0.1, 3.0)))
+        _, bin_path = store.save(str(tmp_path))
+        segs = [store._slots[i] for i in range(len(store))]
+        parts = []
+        for s in segs:
+            parts += [
+                s.obs.reshape(-1),
+                s.actions.reshape(-1),
+                s.rewards.reshape(-1),
+                s.dones.astype(np.float64),
+                np.array([float(s.episode_id), float(s.start_index), float(s.length)]),
+            ]
+        parts.append(store._raw_p[: len(store)].copy())
+        parts.append(store._gen[: len(store)].astype(np.float64))
+        with open(bin_path, "rb") as f:
+            assert f.read() == np.concatenate(parts).astype("<f8").tobytes()
+        empty_bin = PrioritizedStore(capacity=4).save(str(tmp_path / "empty"))[1]
+        with open(empty_bin, "rb") as f:
+            assert f.read() == b""
 
-        def writer(seed):
-            rng = np.random.default_rng(seed)
-            try:
-                for _ in range(200):
-                    store.append(make_segment(rng), priority=float(rng.uniform(0.1, 2.0)))
-            except Exception as e:  # pragma: no cover
-                errors.append(e)
-
-        def reader():
-            rng = np.random.default_rng(99)
-            try:
-                for _ in range(200):
-                    try:
-                        batch = store.sample(8, rng)
-                        store.update_priorities(batch.ids, rng.uniform(0.1, 2.0, size=8))
-                    except NotReadyError:
-                        pass
-            except Exception as e:  # pragma: no cover
-                errors.append(e)
-
-        threads = [threading.Thread(target=writer, args=(s,)) for s in range(3)] + [threading.Thread(target=reader)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert store._tree.total() == pytest.approx(store.brute_force_total(), rel=1e-6)
+    @pytest.mark.parametrize("key, value", [("size", "17"), ("next", "16"), ("next", "-1"), ("size", "-2")])
+    def test_load_rejects_manifest_outside_capacity(self, tmp_path, key, value):
+        rng = np.random.default_rng(24)
+        store = PrioritizedStore(capacity=16)
+        for _ in range(3):
+            store.append(make_segment(rng), priority=1.0)
+        man_path, _ = store.save(str(tmp_path))
+        with open(man_path) as f:
+            lines = [f"{key} = {value}" if ln.partition("=")[0].strip() == key else ln for ln in f.read().splitlines()]
+        with open(man_path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        with pytest.raises(ConfigError, match=f"manifest {key}"):
+            PrioritizedStore.load(str(tmp_path))
 
 
 @settings(max_examples=50, deadline=None)
