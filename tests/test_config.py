@@ -128,10 +128,10 @@ class TestRejectsConfigsThatCannotTrain:
         [
             (["--anneal_steps", "0"], "anneal_steps"),
             (["--capacity", "10", "--batch", "32"], "capacity"),
-            (["--batch", "16", "--min_store_segments", "2"], "min_store_segments"),
             (["--tau", "5"], "tau"),
             (["--eta", "7"], "eta"),
             (["--lr_critic", "-1"], "lr_critic"),
+            (["--batch", "16", "--min_store_segments", "2"], "min_store_segments"),
         ],
     )
     def test_cli_exits_one_naming_the_key(self, tmp_path, capsys, flags, key):
