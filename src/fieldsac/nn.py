@@ -416,12 +416,13 @@ def backward(
     return g if want_input_grad else None
 
 
-def _adam(arena: Arena, part: slice, lr: float, beta1: float, beta2: float, eps: float) -> None:
-    """Bias-corrected Adam update of ``arena[part]``; zeroes its gradients.
-
-    Non-finite gradients abort before touching any state.
+def adam_step_net(net: Network, lr: float, beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2, eps: float = ADAM_EPS) -> None:
+    """One bias-corrected Adam step over the whole arena: every block, one
+    step count.  Zeroes the gradients; non-finite gradients abort before
+    touching any state.
     """
-    p, gr, m, v = arena.params[part], arena.grads[part], arena.m[part], arena.v[part]
+    arena = net.arena
+    p, gr, m, v = arena.params, arena.grads, arena.m, arena.v
     if not np.isfinite(gr).all():
         raise NumericFault("non-finite gradient; Adam step aborted")
     arena.step_count += 1
@@ -446,22 +447,6 @@ def _adam(arena: Arena, part: slice, lr: float, beta1: float, beta2: float, eps:
     tmp /= gr
     p -= tmp
     gr[:] = 0.0
-
-
-def adam_step(
-    block: ParamBlock,
-    lr: float,
-    beta1: float = ADAM_BETA1,
-    beta2: float = ADAM_BETA2,
-    eps: float = ADAM_EPS,
-) -> None:
-    """Adam step for a lone block (one with its own arena and step count)."""
-    _adam(block.arena, slice(block.start, block.stop), lr, beta1, beta2, eps)
-
-
-def adam_step_net(net: Network, lr: float, beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2, eps: float = ADAM_EPS) -> None:
-    """One Adam step over the whole arena: every block, one step count."""
-    _adam(net.arena, slice(None), lr, beta1, beta2, eps)
     net.bump_version()
 
 

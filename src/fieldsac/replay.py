@@ -10,11 +10,16 @@ Priorities mix the max and mean of per-step TD magnitudes
 O(log n) proportional sampling, and are sharpened by an annealed
 exponent alpha.  Importance weights follow (N * P)^-beta, normalized by
 the batch maximum.
+
+The store keeps one flat float64 record per slot; that record is both its
+memory and its ``fieldsac-replay-v1`` snapshot layout.
 """
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,17 +65,6 @@ class Segment:
     episode_id: int
     start_index: int
     length: int
-
-    @property
-    def seg_len(self) -> int:
-        return self.actions.shape[0]
-
-    @property
-    def n_tail(self) -> int:
-        return self.obs.shape[0] - self.seg_len
-
-    def valid_mask(self) -> np.ndarray:
-        return np.arange(self.seg_len) < self.length
 
 
 def validate_segment(seg: Segment, seg_len: int = SEG_LEN, n_tail: int | None = None) -> None:
@@ -252,7 +246,15 @@ class SampleBatch:
 
 
 class PrioritizedStore:
-    """FIFO ring of segments with proportional prioritized sampling."""
+    """FIFO ring of segments with proportional prioritized sampling.
+
+    Each slot is one float64 row of ``_rec``: obs, actions, rewards, dones
+    as 0/1, then (episode_id, start_index, length).  It is also the slot's
+    snapshot record, so ``save`` and ``load`` write and read rows in place.
+    Rows are sized from the first segment's widths and grow in place by a
+    quarter at a time up to ``capacity``, so no second copy of the rows is
+    ever held and at most a quarter of them is empty.
+    """
 
     def __init__(
         self,
@@ -273,9 +275,10 @@ class PrioritizedStore:
         self.priority_floor = priority_floor
         self.seg_len = seg_len
         self.n_tail = n_tail
-        self._slots: list[Segment | None] = [None] * capacity
+        self._widths = (0, 0)  # (obs_dim, act_dim), fixed by the first append
+        self._rec = np.empty((0, 0))
         self._raw_p = np.zeros(capacity)
-        self._gen = np.zeros(capacity, dtype=np.int64)
+        self._gen = np.zeros(capacity)  # float64 so the snapshot writes it in place; exact to 2**53
         self._tree = SumTree(capacity)
         self._next = 0
         self._size = 0
@@ -288,21 +291,51 @@ class PrioritizedStore:
     def __len__(self) -> int:
         return self._size
 
+    def _field_shapes(self) -> tuple:
+        (obs_dim, act_dim), L, tail = self._widths, self.seg_len, self.n_tail
+        return ((L + tail, obs_dim), (L, act_dim), (L + tail - 1, NUM_TERMS), (L + tail - 1,), (3,))
+
+    def _grow(self, rows: int) -> None:
+        """Resize ``_rec`` to ``rows`` rows in place (realloc), keeping the filled ones.
+
+        No view of ``_rec`` outlives a method call, so no reference check is needed.
+        """
+        self._rec.resize((rows, sum(math.prod(s) for s in self._field_shapes())), refcheck=False)
+
+    def _fields(self, rows: np.ndarray) -> list[np.ndarray]:
+        """Views of record rows: obs, actions, rewards, dones (0/1), keys."""
+        out, off = [], 0
+        for shape in self._field_shapes():
+            n = math.prod(shape)
+            out.append(rows[:, off : off + n].reshape(len(rows), *shape))
+            off += n
+        return out
+
     def max_priority(self) -> float:
         return self._max_raw if self._size else 1.0
 
     def append(self, seg: Segment, priority: float | None = None):
         """Store a segment; returns its (slot, generation) id."""
         validate_segment(seg, self.seg_len, self.n_tail)
+        if seg.obs.ndim != 2:
+            raise ConfigError(f"segment rejected: obs must be 2-D, got shape {seg.obs.shape}")
+        widths = (seg.obs.shape[1], seg.actions.shape[1])
+        if self._size and widths != self._widths:
+            raise ConfigError(f"segment rejected: obs/action widths {widths} differ from the store's {self._widths}")
+        self._widths = widths
         raw = float(priority) if priority is not None else (self._max_raw if self._size else 1.0)
         if raw < self.priority_floor:
             if raw < 0.0:
                 self.clamped_priorities += 1
             raw = self.priority_floor
         slot = self._next
-        if self._slots[slot] is not None:
+        if slot < self._size:
             self.evicted_total += 1
-        self._slots[slot] = seg
+        elif slot == len(self._rec):
+            self._grow(min(self.capacity, slot + slot // 4 + 1))
+        obs, acts, rews, dones, keys = (f[0] for f in self._fields(self._rec[slot : slot + 1]))
+        obs[:], acts[:], rews[:], dones[:] = seg.obs, seg.actions, seg.rewards, seg.dones
+        keys[:] = seg.episode_id, seg.start_index, seg.length
         self._raw_p[slot] = raw
         self._gen[slot] += 1
         self._tree.set_many([slot], [raw**self.alpha])
@@ -312,15 +345,20 @@ class PrioritizedStore:
         self.appended_total += 1
         return (slot, int(self._gen[slot]))
 
+    def segment(self, slot: int) -> Segment:
+        """A copy of the segment stored in ``slot``."""
+        if not 0 <= slot < self._size:
+            raise IndexError(f"slot {slot} is empty; the store holds {self._size} segments")
+        obs, acts, rews, dones, (eid, start, length) = (f[0].copy() for f in self._fields(self._rec[slot : slot + 1]))
+        return Segment(obs, acts, rews, dones > 0.5, int(eid), int(start), int(length))
+
     def set_exponents(self, alpha: float, beta: float) -> None:
         """Advance the annealed exponents; re-exponentiates the tree lazily."""
         self.beta = beta
         if alpha != self.alpha:
             self.alpha = alpha
             leaves = np.zeros(self.capacity)
-            if self._size:
-                filled = slice(0, self._size)
-                leaves[filled] = self._raw_p[filled] ** alpha
+            leaves[: self._size] = self._raw_p[: self._size] ** alpha
             self._tree.rebuild(leaves)
 
     def _draw_slots(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -346,15 +384,14 @@ class PrioritizedStore:
         probs = self._tree.leaves(slots) / self._tree.total()
         weights = (self._size * probs) ** (-self.beta)
         weights /= weights.max()
-        segs = [self._slots[s] for s in slots]
-        ids = [(int(s), int(self._gen[s])) for s in slots]
+        obs, actions, rewards, dones, keys = self._fields(self._rec[slots])
         return SampleBatch(
-            obs=np.stack([s.obs for s in segs]),
-            actions=np.stack([s.actions for s in segs]),
-            rewards=np.stack([s.rewards for s in segs]),
-            dones=np.stack([s.dones for s in segs]),
-            lengths=np.array([s.length for s in segs], dtype=np.int64),
-            ids=ids,
+            obs=obs,
+            actions=actions,
+            rewards=rewards,
+            dones=dones > 0.5,
+            lengths=keys[:, 2].astype(np.int64),
+            ids=[(int(s), int(self._gen[s])) for s in slots],
             weights=weights,
         )
 
@@ -362,7 +399,7 @@ class PrioritizedStore:
         new_priorities = np.asarray(new_priorities, dtype=np.float64)
         slots, values = [], []
         for (slot, gen), raw in zip(ids, new_priorities):
-            if self._gen[slot] != gen or self._slots[slot] is None:
+            if self._gen[slot] != gen or slot >= len(self):
                 self.stale_updates += 1
                 continue
             if raw < self.priority_floor:
@@ -388,7 +425,6 @@ class PrioritizedStore:
 
     def save(self, directory: str) -> tuple[str, str]:
         os.makedirs(directory, exist_ok=True)
-        segs = [self._slots[i] for i in range(self._size)]
         meta = {
             "format": "fieldsac-replay-v1",
             "capacity": self.capacity,
@@ -400,32 +436,23 @@ class PrioritizedStore:
             "priority_floor": repr(self.priority_floor),
             "seg_len": self.seg_len,
             "n_tail": self.n_tail,
-            "obs_dim": segs[0].obs.shape[1] if segs else 0,
-            "act_dim": segs[0].actions.shape[1] if segs else 0,
+            "obs_dim": self._widths[0],
+            "act_dim": self._widths[1],
             "appended_total": self.appended_total,
             "evicted_total": self.evicted_total,
             "max_raw": repr(self._max_raw),
         }
-        # one float64 blob: per segment obs, actions, rewards, dones and
-        # (episode_id, start_index, length); then raw priorities, generations
-        seg_floats = sum(s.obs.size + s.actions.size + s.rewards.size + s.dones.size + 3 for s in segs)
-        blob = np.empty(seg_floats + 2 * self._size, dtype="<f8")
-        off = 0
-        for s in segs:
-            keys = (float(s.episode_id), float(s.start_index), float(s.length))
-            for arr in (s.obs.reshape(-1), s.actions.reshape(-1), s.rewards.reshape(-1), s.dones, keys):
-                n = len(arr)
-                blob[off : off + n] = arr
-                off += n
-        blob[off : off + self._size] = self._raw_p[: self._size]
-        blob[off + self._size :] = self._gen[: self._size]
         man_path = os.path.join(directory, "replay.manifest")
         bin_path = os.path.join(directory, "replay.bin")
         with open(man_path, "w") as f:
             f.write("\n".join(f"{k} = {v}" for k, v in meta.items()) + "\n")
         with open(bin_path, "wb") as f:
-            f.write(blob.data)
+            for part in self._blob_parts():
+                f.write(part.astype("<f8", copy=False).data)
         return man_path, bin_path
+
+    def _blob_parts(self) -> tuple[np.ndarray, ...]:
+        return self._rec[: self._size], self._raw_p[: self._size], self._gen[: self._size]
 
     @classmethod
     def load(cls, directory: str) -> "PrioritizedStore":
@@ -455,32 +482,20 @@ class PrioritizedStore:
             raise ConfigError(f"replay manifest size {size} lies outside [0, capacity {store.capacity}]")
         if not 0 <= next_slot < store.capacity:
             raise ConfigError(f"replay manifest next {next_slot} lies outside [0, capacity {store.capacity})")
-        obs_dim, act_dim = int(kv["obs_dim"]), int(kv["act_dim"])
-        L, tail = store.seg_len, store.n_tail
-        with open(bin_path, "rb") as f:
-            blob = np.frombuffer(f.read(), dtype="<f8")
-        off = 0
-
-        def take(n):
-            nonlocal off
-            out = blob[off : off + n].copy()
-            if out.size != n:
-                raise ConfigError("replay snapshot blob is truncated")
-            off += n
-            return out
-
-        for i in range(size):
-            obs = take((L + tail) * obs_dim).reshape(L + tail, obs_dim)
-            acts = take(L * act_dim).reshape(L, act_dim)
-            rews = take((L + tail - 1) * NUM_TERMS).reshape(L + tail - 1, NUM_TERMS)
-            dns = take(L + tail - 1) > 0.5
-            eid, start, length = take(3)
-            store._slots[i] = Segment(obs, acts, rews, dns, int(eid), int(start), int(length))
-        store._raw_p[:size] = take(size)
-        store._gen[:size] = take(size).astype(np.int64)
-        if off != blob.size:
-            raise ConfigError("replay snapshot blob has trailing data")
+        if size < store.capacity and next_slot != size:
+            raise ConfigError(f"replay manifest next {next_slot} must equal size {size} while the ring is not full")
+        store._widths = (int(kv["obs_dim"]), int(kv["act_dim"]))
+        store._grow(size)
         store._size = size
+        with open(bin_path, "rb") as f:
+            for part in store._blob_parts():
+                if f.readinto(part) != part.nbytes:
+                    raise ConfigError("replay snapshot blob is truncated")
+            if f.read(1):
+                raise ConfigError("replay snapshot blob has trailing data")
+        if sys.byteorder == "big":  # the blob is little-endian
+            for part in store._blob_parts():
+                part.byteswap(inplace=True)
         store._next = next_slot
         store._max_raw = float(kv["max_raw"])
         store.appended_total = int(kv["appended_total"])
@@ -490,12 +505,9 @@ class PrioritizedStore:
         store._tree.rebuild(leaves)
         return store
 
-    def all_observation_rows(self, first_only: bool = False) -> np.ndarray:
+    def all_observation_rows(self) -> np.ndarray:
         """Every stored trained-step observation row (used by distillation)."""
-        rows = []
-        for i in range(self._size):
-            s = self._slots[i]
-            rows.append(s.obs[:1] if first_only else s.obs[: s.length])
-        if not rows:
+        if not self._size:
             raise NotReadyError("store is empty")
-        return np.concatenate(rows, axis=0)
+        obs, _, _, _, keys = self._fields(self._rec[: self._size])
+        return obs[:, : self.seg_len][np.arange(self.seg_len) < keys[:, 2:]]

@@ -372,7 +372,7 @@ class TestArena:
     def test_mixed_step_counts_rejected(self):
         a = nn.ParamBlock(np.zeros((1, 1)), np.zeros(1))
         b = nn.ParamBlock(np.zeros((1, 1)), np.zeros(1))
-        nn.adam_step(a, 1e-3)
+        a.arena.step_count = 1
         specs = [nn.LayerSpec("linear", 1, 1), nn.LayerSpec("linear", 1, 1)]
         with pytest.raises(ConfigError, match="step count"):
             nn.Network(specs, [a, b])
@@ -559,11 +559,16 @@ class TestGradCheck:
         assert worst < 1e-6, worst
 
 
+def _one_block_net(w, b):
+    blk = nn.ParamBlock(w, b)
+    return nn.Network([nn.LayerSpec("linear", *w.shape)], [blk]), blk
+
+
 class TestAdam:
     def test_first_step_moves_by_minus_lr(self):
-        blk = nn.ParamBlock(np.zeros((1, 1)), np.zeros(1))
+        net, blk = _one_block_net(np.zeros((1, 1)), np.zeros(1))
         blk.gw[0, 0] = 2.0
-        nn.adam_step(blk, lr=0.001)
+        nn.adam_step_net(net, lr=0.001)
         # bias-corrected first step is -lr * g/|g| up to eps
         assert blk.w[0, 0] == pytest.approx(-0.001, rel=1e-6)
         assert blk.step_count == 1
@@ -571,26 +576,26 @@ class TestAdam:
 
     def test_zero_gradient_is_noop_on_params(self):
         rng = np.random.default_rng(10)
-        blk = nn.ParamBlock(rng.standard_normal((3, 2)), rng.standard_normal(2))
+        net, blk = _one_block_net(rng.standard_normal((3, 2)), rng.standard_normal(2))
         w0, b0 = blk.w.copy(), blk.b.copy()
-        nn.adam_step(blk, lr=0.1)
+        nn.adam_step_net(net, lr=0.1)
         assert np.array_equal(blk.w, w0) and np.array_equal(blk.b, b0)
         assert blk.step_count == 1
 
     def test_constant_gradient_moves_monotonically(self):
-        blk = nn.ParamBlock(np.zeros((1, 1)), np.zeros(1))
+        net, blk = _one_block_net(np.zeros((1, 1)), np.zeros(1))
         prev = 0.0
         for _ in range(5):
             blk.gw[0, 0] = 3.0
-            nn.adam_step(blk, lr=0.01)
+            nn.adam_step_net(net, lr=0.01)
             assert blk.w[0, 0] < prev
             prev = blk.w[0, 0]
 
     def test_nonfinite_gradient_aborts(self):
-        blk = nn.ParamBlock(np.zeros((1, 1)), np.zeros(1))
+        net, blk = _one_block_net(np.zeros((1, 1)), np.zeros(1))
         blk.gw[0, 0] = np.nan
         with pytest.raises(NumericFault):
-            nn.adam_step(blk, lr=0.01)
+            nn.adam_step_net(net, lr=0.01)
         assert blk.step_count == 0
 
 

@@ -57,7 +57,7 @@ class TestSampler:
         emitted = [k for s in samplers for k in s.emitted_keys]
         assert len(emitted) == store.appended_total
         assert len(set(emitted)) == len(emitted)
-        stored_keys = {(store._slots[i].episode_id, store._slots[i].start_index) for i in range(len(store))}
+        stored_keys = {(seg.episode_id, seg.start_index) for seg in map(store.segment, range(len(store)))}
         assert stored_keys == set(emitted)
 
     def test_two_samplers_distinct_trajectories(self):
@@ -75,7 +75,7 @@ class TestSampler:
         store, hub, learner, samplers = fresh_setup(cfg)
         while len(store) == 0:
             samplers[0].tick()
-        seg = store._slots[0]
+        seg = store.segment(0)
         # the environment emits zero; the sampler must have overwritten it
         assert np.any(seg.rewards[: seg.length, 6] != 0.0)
 

@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -206,7 +208,7 @@ class TestPrioritizedStore:
             seg.obs[0, 0] = float(k)
             firsts.append(store.append(seg, priority=1.0))
         assert len(store) == 5
-        stored_marks = {store._slots[i].obs[0, 0] for i in range(5)}
+        stored_marks = {store.segment(i).obs[0, 0] for i in range(5)}
         assert 0.0 not in stored_marks and 5.0 in stored_marks
         assert store.evicted_total == 1
 
@@ -328,22 +330,86 @@ class TestPrioritizedStore:
     def test_snapshot_round_trip(self, tmp_path):
         rng = np.random.default_rng(22)
         store = PrioritizedStore(capacity=16, alpha=0.3, beta=0.4)
+        appended = []
         for k in range(7):
-            seg = make_segment(rng, length=SEG_LEN if k % 2 else 7)
-            store.append(seg, priority=float(k + 1))
+            appended.append(make_segment(rng, length=SEG_LEN if k % 2 else 7))
+            store.append(appended[-1], priority=float(k + 1))
         store.save(str(tmp_path))
         loaded = PrioritizedStore.load(str(tmp_path))
         assert len(loaded) == len(store)
         assert loaded.brute_force_total() == pytest.approx(store.brute_force_total())
         for i in range(len(store)):
-            a, b = store._slots[i], loaded._slots[i]
+            a, b = store.segment(i), loaded.segment(i)
             assert a.obs.tobytes() == b.obs.tobytes()
             assert a.actions.tobytes() == b.actions.tobytes()
             assert a.rewards.tobytes() == b.rewards.tobytes()
             assert np.array_equal(a.dones, b.dones)
             assert (a.episode_id, a.start_index, a.length) == (b.episode_id, b.start_index, b.length)
         batch = loaded.sample(4, np.random.default_rng(0))
-        assert batch.obs.shape[0] == 4
+        segs = [appended[s] for s in loaded.sample_slots(4, np.random.default_rng(0))]
+        expected = {
+            "obs": np.stack([s.obs for s in segs]),
+            "actions": np.stack([s.actions for s in segs]),
+            "rewards": np.stack([s.rewards for s in segs]),
+            "dones": np.stack([s.dones for s in segs]),
+            "lengths": np.array([s.length for s in segs], dtype=np.int64),
+        }
+        for name, want in expected.items():
+            got = getattr(batch, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), name
+        rows = np.concatenate([s.obs[: s.length] for s in appended])
+        assert loaded.all_observation_rows().tobytes() == rows.tobytes()
+        extra = make_segment(rng)
+        loaded.append(extra, priority=1.0)  # grows past the rows that load allocated
+        assert loaded.segment(7).obs.tobytes() == extra.obs.tobytes()
+        assert loaded.segment(0).obs.tobytes() == appended[0].obs.tobytes()
+
+    def test_append_rejects_other_widths(self):
+        rng = np.random.default_rng(26)
+        store = PrioritizedStore(capacity=4)
+        store.append(make_segment(rng), priority=1.0)
+        wide_obs = dataclasses.replace(make_segment(rng), obs=np.zeros((SEG_LEN + TAIL, OBS_DIM + 1)))
+        with pytest.raises(ConfigError, match=r"\(4, 2\) differ from the store's \(3, 2\)"):
+            store.append(wide_obs)
+        wide_act = dataclasses.replace(make_segment(rng), actions=np.zeros((SEG_LEN, ACT_DIM + 3)))
+        with pytest.raises(ConfigError, match=r"\(3, 5\) differ from the store's \(3, 2\)"):
+            store.append(wide_act)
+        assert len(store) == 1 and store.appended_total == 1
+        assert store.sample(1, np.random.default_rng(0)).obs.shape == (1, SEG_LEN + TAIL, OBS_DIM)
+
+    def test_load_peak_stays_near_the_blob(self, tmp_path):
+        rng = np.random.default_rng(27)
+        n, obs_dim = 200, 248
+        store = PrioritizedStore(capacity=n)
+        for _ in range(n):
+            seg = dataclasses.replace(make_segment(rng), obs=rng.standard_normal((SEG_LEN + TAIL, obs_dim)))
+            store.append(seg, priority=float(rng.uniform(0.1, 3.0)))
+        _, bin_path = store.save(str(tmp_path))
+        del store
+        tracemalloc.start()
+        try:
+            loaded = PrioritizedStore.load(str(tmp_path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == n
+        assert peak <= 1.25 * os.path.getsize(bin_path)
+
+    def test_growth_peak_stays_near_the_rows(self):
+        rng = np.random.default_rng(29)
+        n, obs_dim = 65, 248  # just above a power of two, where a doubling copy holds 64 rows beside 65
+        segs = [dataclasses.replace(make_segment(rng), obs=rng.standard_normal((SEG_LEN + TAIL, obs_dim))) for _ in range(n)]
+        store = PrioritizedStore(capacity=n)
+        tracemalloc.start()
+        try:
+            for seg in segs:
+                store.append(seg, priority=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert store._rec.shape[0] == n
+        assert peak <= 1.25 * store._rec.nbytes
 
     def test_snapshot_blob_matches_concatenate_formula(self, tmp_path):
         rng = np.random.default_rng(23)
@@ -352,7 +418,7 @@ class TestPrioritizedStore:
             seg = make_segment(rng, length=SEG_LEN if k % 3 else 6, start=SEG_STRIDE * k)
             store.append(dataclasses.replace(seg, episode_id=10_000_000 * k + 1_000_003), priority=float(rng.uniform(0.1, 3.0)))
         _, bin_path = store.save(str(tmp_path))
-        segs = [store._slots[i] for i in range(len(store))]
+        segs = [store.segment(i) for i in range(len(store))]
         parts = []
         for s in segs:
             parts += [
@@ -369,8 +435,9 @@ class TestPrioritizedStore:
         empty_bin = PrioritizedStore(capacity=4).save(str(tmp_path / "empty"))[1]
         with open(empty_bin, "rb") as f:
             assert f.read() == b""
+        assert len(PrioritizedStore.load(str(tmp_path / "empty"))) == 0
 
-    @pytest.mark.parametrize("key, value", [("size", "17"), ("next", "16"), ("next", "-1"), ("size", "-2")])
+    @pytest.mark.parametrize("key, value", [("size", "17"), ("next", "16"), ("next", "-1"), ("size", "-2"), ("next", "5")])
     def test_load_rejects_manifest_outside_capacity(self, tmp_path, key, value):
         rng = np.random.default_rng(24)
         store = PrioritizedStore(capacity=16)
