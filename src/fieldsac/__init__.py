@@ -15,12 +15,16 @@ def _tune_allocator() -> None:
     # Page faults on freshly mapped memory are disproportionately expensive
     # in containerized runtimes; keep large buffers on the heap and never
     # trim it, so steady-state training reuses memory instead of faulting.
+    # One arena: the worker thread of a twin critic pass (``nn._both``)
+    # then allocates from the same heap, instead of faulting in heaps of
+    # its own that add to the peak RSS.
     import ctypes
 
     try:
         libc = ctypes.CDLL("libc.so.6")
         libc.mallopt(-3, 1 << 30)  # M_MMAP_THRESHOLD
         libc.mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+        libc.mallopt(-8, 1)  # M_ARENA_MAX
     except (OSError, AttributeError):
         pass
 

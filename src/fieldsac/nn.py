@@ -20,6 +20,18 @@ still stores the step count once per block.  Every ``ParamBlock`` field
 reshaped view into the arena, so Adam, soft updates, gradient zeroing,
 copies and fingerprints each act on whole vectors.
 
+Twin passes: ``forward_both`` and ``backward_both`` run one pass of two
+networks each: the first through the public ``forward``/``backward`` on
+the calling thread, the second through the private bodies on a worker
+thread that is joined before they return.  numpy releases the GIL inside
+BLAS and ufunc loops, so on two cores the passes overlap; each pass still
+runs start to end on one thread, so the results are bit-identical to two
+single calls.  Below ``_BOTH_MIN_WORK`` multiply-adds per pass the thread
+costs more than the overlap saves, and the passes run one after the
+other on the calling thread.  ``want_tape="input_grad"`` records no
+linear-layer inputs, which only parameter gradients need; such a tape is
+smaller and ``backward`` refuses to accumulate from it.
+
 Finite scans: ``forward`` checks for non-finite values only at the
 output and at the input of every ``relu``/``elu``.  Those are the only
 layers that can turn a non-finite value (``-inf``) finite; linear, layer
@@ -31,6 +43,7 @@ names the first layer whose output stopped being finite.
 from __future__ import annotations
 
 import sys
+import threading
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -49,6 +62,12 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# Multiply-adds per pass (rows x parameters) from which ``_both`` puts the
+# second pass on a worker thread.  On a 2-vCPU host ``tools/twin_crossover.py``
+# timed a critic pair on two threads at 0.90-1.21x its sequential time at
+# desk shapes (about 3e6), at 0.58-1.31x from 1e7 to 3e7, where it depends
+# on the other core being free, and at 0.55-0.87x from 3.2e7 up.
+_BOTH_MIN_WORK = 1 << 24
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -271,27 +290,53 @@ def _validate_stack(specs: list[LayerSpec], blocks: list[ParamBlock | None]) -> 
 
 
 class Tape:
-    """Activation record from one forward pass; consumed by ``backward``."""
+    """Activation record from one forward pass; consumed by ``backward``.
+    Without ``keeps_inputs`` (an ``"input_grad"`` tape) the linear layers'
+    records are None."""
 
-    __slots__ = ("net", "version", "records", "batch")
+    __slots__ = ("net", "version", "records", "batch", "keeps_inputs")
 
-    def __init__(self, net: Network, records: list, batch: int):
+    def __init__(self, net: Network, records: list, batch: int, keeps_inputs: bool):
         self.net = net
         self.version = net.version
         self.records = records
         self.batch = batch
+        self.keeps_inputs = keeps_inputs
 
 
-def forward(net: Network, x: np.ndarray, want_tape: bool = True) -> tuple[np.ndarray, Tape | None]:
+def forward(net: Network, x: np.ndarray, want_tape: bool | str = True) -> tuple[np.ndarray, Tape | None]:
     """Run the stack on a batch ``x`` of shape (batch, in_dim).
 
     Returns the output batch and, when ``want_tape`` is set, the tape
-    needed for an exact backward pass.  Raises NumericFault with the layer
-    index if any intermediate stops being finite.
+    needed for an exact backward pass; ``want_tape="input_grad"`` keeps no
+    linear-layer inputs, so its tape serves only ``backward(...,
+    accumulate=False)``.  Raises NumericFault with the layer index if any
+    intermediate stops being finite.
     """
+    return _forward(net, _check_input(net, x, want_tape), want_tape)
+
+
+def forward_both(nets: tuple[Network, Network], x: np.ndarray, want_tape: bool | str = True):
+    """``(forward(nets[0], x, want_tape), forward(nets[1], x, want_tape))``,
+    bit for bit, with the two passes on two threads (see ``_both``).  When
+    both fail, the first network's error is raised."""
+    a, b = nets
+    x = _check_input(a, x, want_tape)
+    _check_input(b, x, want_tape)
+    work = x.shape[0] * min(a.n_params(), b.n_params())
+    return _both(lambda: forward(a, x, want_tape), lambda: _forward(b, x, want_tape), work)
+
+
+def _check_input(net: Network, x: np.ndarray, want_tape: bool | str) -> np.ndarray:
+    if want_tape not in (True, False, "input_grad"):
+        raise ConfigError(f"want_tape must be True, False or 'input_grad', got {want_tape!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.in_dim:
         raise ConfigError(f"input of shape {x.shape} does not match in_dim {net.in_dim}")
+    return x
+
+
+def _forward(net: Network, x: np.ndarray, want_tape: bool | str) -> tuple[np.ndarray, Tape | None]:
     h, records, bad = _run(net, x, want_tape, net.finite_scans)
     if bad >= 0:
         # The trimmed scans only show that some layer up to ``bad`` failed;
@@ -300,7 +345,36 @@ def forward(net: Network, x: np.ndarray, want_tape: bool = True) -> tuple[np.nda
         raise NumericFault(f"non-finite output at layer {bad} ({net.specs[bad].kind})")
     if not want_tape:
         return h, None
-    return h, Tape(net, records, x.shape[0])
+    return h, Tape(net, records, x.shape[0], want_tape != "input_grad")
+
+
+def _both(first, second, work: int) -> tuple:
+    """``(first(), second())``, with ``second()`` on a worker thread from
+    ``_BOTH_MIN_WORK`` multiply-adds per pass up.  The worker is always
+    joined before returning and its error is raised here; when both fail,
+    ``first()``'s error wins, as it would run first.  ``second`` must call
+    only nn-private code: a profiler that wraps the public functions keeps
+    one span stack for the process.
+    """
+    if work < _BOTH_MIN_WORK:
+        return first(), second()
+    out: list = [None, None]  # the worker's result and error
+
+    def worker() -> None:
+        try:
+            out[0] = second()
+        except BaseException as e:  # re-raised on the calling thread
+            out[1] = e
+
+    t = threading.Thread(target=worker)
+    t.start()
+    try:
+        first_out = first()
+    finally:
+        t.join()
+    if out[1] is not None:
+        raise out[1]
+    return first_out, out[0]
 
 
 def _mean_rows(a: np.ndarray) -> np.ndarray:
@@ -311,16 +385,17 @@ def _mean_rows(a: np.ndarray) -> np.ndarray:
     return mu
 
 
-def _run(net: Network, x: np.ndarray, want_tape: bool, scans: tuple[bool, ...]) -> tuple[np.ndarray, list, int]:
+def _run(net: Network, x: np.ndarray, want_tape: bool | str, scans: tuple[bool, ...]) -> tuple[np.ndarray, list, int]:
     """The forward loop; stops at the first layer ``i`` with ``scans[i]``
     set whose output is not finite and returns its index (-1 if none)."""
+    keep_inputs = want_tape != "input_grad"
     h = x
     records: list = []
     res_stack: list[np.ndarray] = []
     for i, (spec, blk, scan) in enumerate(zip(net.specs, net.blocks, scans)):
         if spec.kind == "linear":
             if want_tape:
-                records.append(h)
+                records.append(h if keep_inputs else None)
             h = h @ blk.w
             h += blk.b
         elif spec.kind == "layer_norm":
@@ -371,13 +446,41 @@ def backward(
     ``want_input_grad`` False the input gradient is never formed and the
     call returns None.
     """
+    g = _check_grad(net, tape, output_grad, accumulate)
+    return _backward(net, tape, g, accumulate, want_input_grad)
+
+
+def backward_both(
+    nets: tuple[Network, Network],
+    tapes: tuple[Tape, Tape],
+    grads: tuple[np.ndarray, np.ndarray],
+    accumulate: bool = True,
+    want_input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """``backward`` of two networks, each on its own tape and output
+    gradient, bit for bit, with the two passes on two threads (see
+    ``_both``).  When both fail, the first network's error is raised."""
+    (a, b), (ta, tb) = nets, tapes
+    ga = _check_grad(a, ta, grads[0], accumulate)
+    gb = _check_grad(b, tb, grads[1], accumulate)
+    work = min(ta.batch * a.n_params(), tb.batch * b.n_params())
+    return _both(lambda: backward(a, ta, ga, accumulate, want_input_grad), lambda: _backward(b, tb, gb, accumulate, want_input_grad), work)
+
+
+def _check_grad(net: Network, tape: Tape, output_grad: np.ndarray, accumulate: bool) -> np.ndarray:
     if tape.net is not net:
         raise ContractViolation("tape belongs to a different network")
     if tape.version != net.version:
         raise ContractViolation("stale tape: parameters changed since forward")
+    if accumulate and not tape.keeps_inputs:
+        raise ContractViolation("an input_grad tape keeps no layer inputs, so it cannot accumulate parameter gradients")
     g = np.asarray(output_grad, dtype=np.float64)
     if g.shape != (tape.batch, net.out_dim):
         raise ConfigError(f"output_grad shape {g.shape} does not match ({tape.batch}, {net.out_dim})")
+    return g
+
+
+def _backward(net: Network, tape: Tape, g: np.ndarray, accumulate: bool, want_input_grad: bool) -> np.ndarray | None:
     res_gstack: list[np.ndarray] = []
     for i in range(len(net.specs) - 1, -1, -1):
         spec, blk, rec = net.specs[i], net.blocks[i], tape.records[i]

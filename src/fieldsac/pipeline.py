@@ -618,6 +618,12 @@ def train_stage(
     except NumericFault:
         save_checkpoint(os.path.join(out_dir, "faulted"), learner.actor, ensemble, learner.log_alpha, cfg, learner.steps, total_env_steps())
         raise
+    if learner.steps == 0 and not stopped:
+        raise ConfigError(
+            f"the stage ended without a learner step: total_env_steps ({cfg.total_env_steps}) stored "
+            f"{store.appended_total} segments, and learning waits for min_segments_to_learn "
+            f"({cfg.min_segments_to_learn}: min_store_segments, or batch when that is 0)"
+        )
 
     if last_report is None:
         last_report = run_eval()

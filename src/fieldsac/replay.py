@@ -200,15 +200,16 @@ class SumTree:
         return self.tree[self.leaf_base + np.asarray(idxs)]
 
     def set_many(self, idxs, values) -> None:
-        idxs = np.asarray(idxs, dtype=np.int64)
-        pos = idxs + self.leaf_base
+        """Leaves ``idxs`` to ``values`` (the last value wins for a repeated
+        index), then every changed ancestor, level by level up to the root."""
+        pos = np.asarray(idxs, dtype=np.int64) + self.leaf_base
         self.tree[pos] = values
-        parents = np.unique(pos >> 1)
-        while parents[0] >= 1:
-            self.tree[parents] = self.tree[2 * parents] + self.tree[2 * parents + 1]
-            if parents[0] == 1:
-                break
-            parents = np.unique(parents >> 1)
+        nodes = np.unique(pos)
+        while nodes[0] > 1:
+            nodes >>= 1
+            # still sorted, so the parents shared by siblings are adjacent repeats
+            nodes = nodes[np.concatenate(([True], nodes[1:] != nodes[:-1]))]
+            self.tree[nodes] = self.tree[2 * nodes] + self.tree[2 * nodes + 1]
 
     def rebuild(self, leaf_values: np.ndarray) -> None:
         self.tree[self.leaf_base : self.leaf_base + leaf_values.size] = leaf_values

@@ -13,7 +13,11 @@ bonus is already a reward coordinate.
 
 The loss functions accumulate parameter gradients into the networks they
 train as a side effect and return the loss values; the caller applies
-the Adam steps.  One training step must run single-threaded.
+the Adam steps.  Each twin pair (targets, online critics) runs through
+``nn.forward_both``/``nn.backward_both``, which put the second pass on a
+short-lived worker thread; the results are the same bits as two
+sequential calls.  Callers must not run two training steps on the same
+networks at once.
 """
 
 from __future__ import annotations
@@ -249,15 +253,14 @@ def critic_loss(
     a_boot = policy.sample(head, boot_noise).action
 
     boot_in = np.concatenate([boot_obs, a_boot], axis=1)
-    q1t, _ = ensemble.q1_target.forward(boot_in, want_tape=False)
-    q2t, _ = ensemble.q2_target.forward(boot_in, want_tape=False)
+    (q1t, _), (q2t, _) = nn.forward_both((ensemble.q1_target.net, ensemble.q2_target.net), boot_in, want_tape=False)
     boot_q = np.minimum(q1t, q2t).reshape(B, L, -1)
 
     y = n_step_targets(batch.rewards, batch.dones, boot_q, hyper)
 
     online_in = np.concatenate([flat_obs, flat_act], axis=1)
-    q1, tape1 = ensemble.q1.forward(online_in)
-    q2, tape2 = ensemble.q2.forward(online_in)
+    online = (ensemble.q1.net, ensemble.q2.net)
+    (q1, tape1), (q2, tape2) = nn.forward_both(online, online_in)
     d1 = q1.reshape(B, L, -1) - y
     d2 = q2.reshape(B, L, -1) - y
 
@@ -270,8 +273,8 @@ def critic_loss(
         raise NumericFault(f"non-finite critic loss; offending batch ids {batch.ids}")
 
     scale = (w_bt / n_valid)[:, :, None]
-    nn.backward(ensemble.q1.net, tape1, (d1 * scale).reshape(B * L, -1), want_input_grad=False)
-    nn.backward(ensemble.q2.net, tape2, (d2 * scale).reshape(B * L, -1), want_input_grad=False)
+    grads = ((d1 * scale).reshape(B * L, -1), (d2 * scale).reshape(B * L, -1))
+    nn.backward_both(online, (tape1, tape2), grads, want_input_grad=False)
 
     td = np.abs(((d1 + d2) * 0.5) @ hyper.weights) * valid
     prios = np.array(
@@ -307,8 +310,8 @@ def actor_loss(
     sampled = policy.sample(head, noise)
 
     crit_in = np.concatenate([obs_rows, sampled.action], axis=1)
-    q1, tape1 = ensemble.q1.forward(crit_in)
-    q2, tape2 = ensemble.q2.forward(crit_in)
+    critics = (ensemble.q1.net, ensemble.q2.net)
+    (q1, tape1), (q2, tape2) = nn.forward_both(critics, crit_in, want_tape="input_grad")
     take1 = q1 <= q2  # per-coordinate twin minimum (subgradient routes to the smaller)
     q_min = np.where(take1, q1, q2)
     q_term = q_min @ hyper.weights
@@ -321,8 +324,7 @@ def actor_loss(
     gq = (-hyper.weights[None, :] / M) * np.ones((M, 1))
     g1 = np.where(take1, gq, 0.0)
     g2 = np.where(take1, 0.0, gq)
-    din1 = nn.backward(ensemble.q1.net, tape1, g1, accumulate=False)
-    din2 = nn.backward(ensemble.q2.net, tape2, g2, accumulate=False)
+    din1, din2 = nn.backward_both(critics, (tape1, tape2), (g1, g2), accumulate=False)
     obs_cols = obs_rows.shape[1]
     da = din1[:, obs_cols:] + din2[:, obs_cols:]
 

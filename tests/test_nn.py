@@ -1,3 +1,6 @@
+import re
+import threading
+
 import numpy as np
 import pytest
 
@@ -300,6 +303,107 @@ class TestFiniteScans:
     def test_mlp_scans_four_layers(self):
         net = nn.build_mlp(5, 8, 3, np.random.default_rng(0), activation="relu")
         assert [i for i, scan in enumerate(net.finite_scans) if scan] == [1, 5, 10, 13]
+
+
+def _twin_nets(seed):
+    rng = np.random.default_rng(seed)
+    a = random_net(rng, in_dim=5, hidden=8, out_dim=3, activation="relu")
+    b = random_net(rng, in_dim=5, hidden=8, out_dim=3, activation="elu")
+    return a, b, rng
+
+
+@pytest.fixture(params=[0, 1 << 62], ids=["threaded", "sequential"])
+def twin_gate(request, monkeypatch):
+    """``_BOTH_MIN_WORK`` at 0 (every twin pair on two threads) or huge (never)."""
+    monkeypatch.setattr(nn, "_BOTH_MIN_WORK", request.param)
+    return request.param
+
+
+class TestTwinPasses:
+    """``forward_both``/``backward_both`` must be two single passes, bit for
+    bit, whether or not the second runs on a worker thread."""
+
+    @pytest.mark.parametrize("want_tape", [True, "input_grad"])
+    def test_same_bits_as_two_single_passes(self, twin_gate, want_tape):
+        a, b, rng = _twin_nets(40)
+        ra, rb = a.copy(), b.copy()
+        x = rng.standard_normal((6, 5))
+        grads = (rng.standard_normal((6, 3)), rng.standard_normal((6, 3)))
+        (ya, ta), (yb, tb) = nn.forward_both((a, b), x, want_tape)
+        (za, sa), (zb, sb) = nn.forward(ra, x, want_tape), nn.forward(rb, x, want_tape)
+        assert _same_bits(ya, za) and _same_bits(yb, zb)
+        acc = want_tape is True
+        ga, gb = nn.backward_both((a, b), (ta, tb), grads, accumulate=acc)
+        assert _same_bits(ga, nn.backward(ra, sa, grads[0], accumulate=acc))
+        assert _same_bits(gb, nn.backward(rb, sb, grads[1], accumulate=acc))
+        for net, ref in ((a, ra), (b, rb)):
+            assert _same_bits(net.arena.grads, ref.arena.grads)
+        assert acc == bool(a.arena.grads.any())
+
+    @pytest.mark.parametrize("name", ["forward", "backward"])
+    def test_first_pass_public_on_caller_second_private(self, twin_gate, name, monkeypatch):
+        # a profiler wraps the public functions and keeps one span stack,
+        # so only the calling thread may enter them
+        a, b, rng = _twin_nets(41)
+        calls = {"public": [], "private": []}
+
+        def recording(kind, fn):
+            def wrapped(*args):
+                calls[kind].append((threading.get_ident(), args[0]))
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(nn, name, recording("public", getattr(nn, name)))
+        monkeypatch.setattr(nn, "_" + name, recording("private", getattr(nn, "_" + name)))
+        x = rng.standard_normal((2, 5))
+        (_, ta), (_, tb) = nn._forward(a, x, True), nn._forward(b, x, True)
+        calls["private"].clear()
+        if name == "forward":
+            nn.forward_both((a, b), x)
+        else:
+            nn.backward_both((a, b), (ta, tb), (np.ones((2, 3)), np.ones((2, 3))))
+        me = threading.get_ident()
+        assert calls["public"] == [(me, a)]
+        (t_a, net_a), (t_b, net_b) = sorted(calls["private"], key=lambda c: c[1] is b)
+        assert (t_a, net_a) == (me, a) and net_b is b
+        assert (t_b != me) == (twin_gate == 0)
+
+    def test_fault_in_second_network_raises_the_single_pass_message(self, twin_gate):
+        a, b, rng = _twin_nets(42)
+        x = rng.standard_normal((4, 5))
+        b.blocks[-1].b[0] = np.nan
+        with pytest.raises(NumericFault) as single:
+            nn.forward(b, x)
+        before = threading.active_count()
+        with pytest.raises(NumericFault, match=re.escape(str(single.value))):
+            nn.forward_both((a, b), x)
+        assert threading.active_count() == before
+
+    def test_first_network_error_wins_when_both_fail(self, twin_gate):
+        a, b, rng = _twin_nets(43)
+        x = rng.standard_normal((4, 5))
+        a.blocks[0].w[0, 0] = np.nan
+        b.blocks[-1].b[0] = np.nan
+        with pytest.raises(NumericFault, match=r"layer 0 \(linear\)"):
+            nn.forward_both((a, b), x)
+        with pytest.raises(NumericFault, match=f"layer {len(b.specs) - 1} \\(linear\\)"):
+            nn.forward_both((b, a), x)
+
+    def test_input_grad_tape_refuses_to_accumulate(self, twin_gate):
+        a, b, rng = _twin_nets(44)
+        x, g = rng.standard_normal((3, 5)), rng.standard_normal((3, 3))
+        (_, ta), (_, tb) = nn.forward_both((a, b), x, want_tape="input_grad")
+        with pytest.raises(ContractViolation, match="input_grad"):
+            nn.backward(a, ta, g)
+        with pytest.raises(ContractViolation, match="input_grad"):
+            nn.backward_both((a, b), (ta, tb), (g, g))
+        assert not a.arena.grads.any() and not b.arena.grads.any()
+
+    def test_unknown_tape_kind_rejected(self):
+        a, _, rng = _twin_nets(45)
+        with pytest.raises(ConfigError, match="want_tape"):
+            nn.forward(a, rng.standard_normal((1, 5)), want_tape="params")
 
 
 def _assert_blocks_on_arena(net):

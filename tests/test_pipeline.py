@@ -258,6 +258,15 @@ class TestTrainStage:
         res = pipeline.train_stage(cfg, str(tmp_path / "fin"), resume_actor=student_actor, resume_ensemble=ens)
         assert res.replay_dir is None
 
+    def test_stop_at_first_eval_before_learning_still_saves(self, tmp_path):
+        # the first eval comes after 40 env steps, before `batch` segments exist,
+        # and any movement at all meets the stop criterion
+        cfg = tiny_cfg(epoch_env_steps=40, stop_at_eval_speed=1e-12, eval_episodes=1)
+        res = pipeline.train_stage(cfg, str(tmp_path / "run"))
+        assert res.stopped_early and res.learner_steps == 0
+        assert res.env_steps < cfg.total_env_steps
+        assert os.path.exists(os.path.join(res.checkpoint_dir, "meta.txt"))
+
     def test_resume_with_wrong_dims_rejected(self, tmp_path):
         cfg = tiny_cfg(stage="finetune", difficulty=2)
         actor, ens = pipeline.build_learner_nets(tiny_cfg(), np.random.default_rng(0))  # teacher-shaped
@@ -346,6 +355,16 @@ class TestCli:
         rc = cli.main(["pretrain", "--out", str(tmp_path / "x"), "--config", "does/not/exist.txt"])
         assert rc == 1
         assert "does/not/exist.txt" in capsys.readouterr().err
+
+    def test_stage_without_learner_steps_exit_one(self, tmp_path, capsys):
+        # 100 env steps cut about 12 segments, fewer than desk's batch of 32
+        desk = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "desk.txt")
+        flags = ["--total_env_steps", "100", "--epoch_env_steps", "100", "--eval_episodes", "1", "--horizon", "50"]
+        rc = cli.main(["pretrain", "--config", desk, "--out", str(tmp_path / "x"), *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "total_env_steps" in err and "min_segments_to_learn" in err
+        assert not (tmp_path / "x" / "checkpoint").exists()
 
     def test_unknown_override_exit_one(self, tmp_path, capsys):
         rc = cli.main(["pretrain", "--out", str(tmp_path / "x"), "--frobnicate", "9"])

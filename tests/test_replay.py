@@ -178,6 +178,32 @@ class TestSumTree:
         for i in range(n):
             assert tree.leaf(i) == pytest.approx(ref[i])
 
+    def test_updates_match_the_per_level_formula_and_rebuild_bit_for_bit(self):
+        def reference_set_many(tree, idxs, values):
+            # every level recomputed from np.unique of the one below
+            pos = np.asarray(idxs, dtype=np.int64) + tree.leaf_base
+            tree.tree[pos] = values
+            parents = np.unique(pos >> 1)
+            while True:
+                tree.tree[parents] = tree.tree[2 * parents] + tree.tree[2 * parents + 1]
+                if parents[0] == 1:
+                    break
+                parents = np.unique(parents >> 1)
+
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 5, 64, 300):
+            tree, ref = SumTree(n), SumTree(n)
+            for _ in range(400):
+                k = int(rng.integers(1, 9))
+                idxs = rng.integers(0, n, size=k)  # repeats included
+                vals = rng.uniform(0, 10, size=k)
+                tree.set_many(idxs, vals)
+                reference_set_many(ref, idxs, vals)
+                assert tree.tree.tobytes() == ref.tree.tobytes()
+            rebuilt = SumTree(n)
+            rebuilt.rebuild(tree.leaves(np.arange(n)))
+            assert rebuilt.tree.tobytes() == tree.tree.tobytes()
+
     def test_find_prefix_matches_linear_scan(self):
         rng = np.random.default_rng(2)
         n = 17

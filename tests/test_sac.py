@@ -423,6 +423,32 @@ class TestActorLoss:
         assert final == pytest.approx(0.3, abs=1e-3)
 
 
+class TestTwinThreads:
+    """Each twin critic pair may run on two threads; every output must be
+    the same bits as running the pair one pass after the other."""
+
+    @staticmethod
+    def _losses(min_work, monkeypatch):
+        monkeypatch.setattr(nn, "_BOTH_MIN_WORK", min_work)
+        rng = np.random.default_rng(60)
+        ens, actor = tiny_ensemble(rng, 3, 2), tiny_actor(rng, 3, 2)
+        batch = tiny_batch(rng, full=False)
+        hy = hyper(n_step=2)
+        res = sac.critic_loss(batch, ens, actor, hy, rng=np.random.default_rng(1))
+        loss, logp = sac.actor_loss(batch.obs[:, :4].reshape(-1, 3), ens, actor, 0.2, hy, rng=np.random.default_rng(2))
+        arrays = [res.td_magnitudes, res.segment_priorities, res.targets, logp, actor.arena.grads]
+        arrays += [c.net.arena.grads for c in (ens.q1, ens.q2, ens.q1_target, ens.q2_target)]
+        return res.loss, loss, arrays
+
+    def test_critic_and_actor_losses_same_bits_threaded_or_not(self, monkeypatch):
+        threaded = self._losses(0, monkeypatch)
+        sequential = self._losses(1 << 62, monkeypatch)
+        assert threaded[:2] == sequential[:2]
+        for a, b in zip(threaded[2], sequential[2]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert threaded[2][4].any() and threaded[2][5].any()  # the actor and q1 gradients are live
+
+
 class TestTemperature:
     def test_stationary_at_target_entropy(self):
         lp = np.full(32, -1.7)
