@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .replay import SEG_STRIDE
 from .rewards import FINETUNE_WEIGHTS, PRETRAIN_WEIGHTS
 
 STAGES = ("pretrain", "finetune")
@@ -89,6 +90,15 @@ class TrainConfig:
             raise ConfigError(
                 f"capacity ({self.capacity}) is below the {self.min_segments_to_learn} segments learning waits for "
                 "(min_store_segments, or batch when that is 0), so the learner would never run"
+            )
+        # an episode of T steps cuts at most T // SEG_STRIDE segments, and the
+        # samplers overshoot the budget by at most num_samplers - 1 steps
+        most_segments = (self.total_env_steps + self.num_samplers - 1) // SEG_STRIDE
+        if most_segments < self.min_segments_to_learn:
+            raise ConfigError(
+                f"total_env_steps ({self.total_env_steps}) cuts at most {most_segments} segments, fewer than the "
+                f"min_segments_to_learn ({self.min_segments_to_learn}: min_store_segments, or batch when that is 0) "
+                "that learning waits for, so the learner would never run"
             )
 
     # -- stage-derived settings (not user-settable) -------------------------

@@ -6,6 +6,15 @@ A forward pass records a tape; ``backward`` replays it exactly, so the
 gradients are the true reverse-mode derivatives (verified against central
 finite differences by ``grad_check``).
 
+Tapes are single-use: ``backward`` frees each record as soon as its layer
+is done, and a second backward on the same tape raises
+``ContractViolation``.  The pass overwrites only gradient buffers it made
+itself (never the caller's output gradient, one a residual span still
+needs, or the caller's input).  An ELU right after a layer norm records
+nothing: backward rebuilds its input from the layer norm's record with
+the forward's own operations (``xhat * w``, then ``+= b``), so the bits
+match a stored copy.
+
 Batches are 2-D float64 arrays, one row per sample, features along
 columns.  One network instance must only be mutated from a single thread;
 share read-only copies (``Network.copy``) across threads instead.
@@ -290,9 +299,11 @@ def _validate_stack(specs: list[LayerSpec], blocks: list[ParamBlock | None]) -> 
 
 
 class Tape:
-    """Activation record from one forward pass; consumed by ``backward``.
-    Without ``keeps_inputs`` (an ``"input_grad"`` tape) the linear layers'
-    records are None."""
+    """Activation record from one forward pass, consumed by one ``backward``:
+    the pass frees each record once its layer is done and leaves
+    ``records`` None, so a second pass on the tape is refused.  Without
+    ``keeps_inputs`` (an ``"input_grad"`` tape) the linear layers' records
+    are None; an ELU right after a layer norm records nothing either."""
 
     __slots__ = ("net", "version", "records", "batch", "keeps_inputs")
 
@@ -409,7 +420,8 @@ def _run(net: Network, x: np.ndarray, want_tape: bool | str, scans: tuple[bool, 
             h += blk.b
         elif spec.kind == "elu":
             if want_tape:
-                records.append(h)
+                # after a layer norm, backward rebuilds the input from its record
+                records.append(None if i and net.specs[i - 1].kind == "layer_norm" else h)
             # expm1(x) >= x for x <= 0, so the max picks expm1 exactly there
             y = np.minimum(h, 0.0)
             np.expm1(y, out=y)
@@ -472,6 +484,8 @@ def _check_grad(net: Network, tape: Tape, output_grad: np.ndarray, accumulate: b
         raise ContractViolation("tape belongs to a different network")
     if tape.version != net.version:
         raise ContractViolation("stale tape: parameters changed since forward")
+    if tape.records is None:
+        raise ContractViolation("tape already consumed: a tape serves one backward pass")
     if accumulate and not tape.keeps_inputs:
         raise ContractViolation("an input_grad tape keeps no layer inputs, so it cannot accumulate parameter gradients")
     g = np.asarray(output_grad, dtype=np.float64)
@@ -481,42 +495,57 @@ def _check_grad(net: Network, tape: Tape, output_grad: np.ndarray, accumulate: b
 
 
 def _backward(net: Network, tape: Tape, g: np.ndarray, accumulate: bool, want_input_grad: bool) -> np.ndarray | None:
+    records, tape.records = tape.records, None  # single use: each record is freed once consumed
+    own = False  # whether ``g`` is a buffer of this pass, free to overwrite
     res_gstack: list[np.ndarray] = []
     for i in range(len(net.specs) - 1, -1, -1):
-        spec, blk, rec = net.specs[i], net.blocks[i], tape.records[i]
+        spec, blk, rec = net.specs[i], net.blocks[i], records[i]
+        records[i] = None
         if spec.kind == "linear":
             if accumulate:
                 blk.gw += rec.T @ g
                 blk.gb += g.sum(axis=0)
             if i or want_input_grad:
-                g = g @ blk.w.T
+                g, own = g @ blk.w.T, True
         elif spec.kind == "layer_norm":
-            xhat, inv = rec
-            dxhat = g * blk.w[0]
-            t = dxhat * xhat
-            m2 = _mean_rows(t)
-            if accumulate:
-                blk.gw += np.multiply(g, xhat, out=t).sum(axis=0, keepdims=True)
-                blk.gb += g.sum(axis=0)
-            m1 = _mean_rows(dxhat)
-            # inv * (dxhat - m1 - xhat * m2) in place, same operations in the same order
-            dxhat -= m1
-            dxhat -= np.multiply(xhat, m2, out=t)
-            dxhat *= inv
-            g = dxhat
+            g, own = _layer_norm_grad(blk, *rec, g, own, accumulate), True
         elif spec.kind == "elu":
+            if rec is None:  # the preceding layer norm's output, rebuilt as the forward built it
+                rec = records[i - 1][0] * net.blocks[i - 1].w[0]
+                rec += net.blocks[i - 1].b
+                np.minimum(rec, 0.0, out=rec)
+            else:
+                rec = np.minimum(rec, 0.0)
             # exp(0) == 1 is the derivative on the positive side
-            der = np.minimum(rec, 0.0)
-            np.exp(der, out=der)
-            der *= g
-            g = der
+            np.exp(rec, out=rec)
+            rec *= g
+            g, own = rec, True
         elif spec.kind == "relu":
-            g = g * rec
+            g, own = np.multiply(g, rec, out=g if own else None), True
         elif spec.kind == "residual_begin":
-            g = g + res_gstack.pop()
+            g, own = np.add(g, res_gstack.pop(), out=g if own else None), True
         else:  # residual_end: split gradient between inner stack and skip
             res_gstack.append(g)
+            own = False
     return g if want_input_grad else None
+
+
+def _layer_norm_grad(blk: ParamBlock, xhat: np.ndarray, inv: np.ndarray, g: np.ndarray, own: bool, accumulate: bool) -> np.ndarray:
+    """Input gradient of a layer norm, written into ``g`` when ``own``;
+    the parameter gradients accumulate first, while ``g`` is intact.  A
+    function of its own so its temporaries die before the next layer."""
+    if accumulate:
+        blk.gw += np.multiply(g, xhat).sum(axis=0, keepdims=True)
+        blk.gb += g.sum(axis=0)
+    dxhat = np.multiply(g, blk.w[0], out=g if own else None)
+    t = dxhat * xhat
+    m2 = _mean_rows(t)
+    m1 = _mean_rows(dxhat)
+    # inv * (dxhat - m1 - xhat * m2) in place, same operations in the same order
+    dxhat -= m1
+    dxhat -= np.multiply(xhat, m2, out=t)
+    dxhat *= inv
+    return dxhat
 
 
 def adam_step_net(net: Network, lr: float, beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2, eps: float = ADAM_EPS) -> None:

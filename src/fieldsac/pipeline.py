@@ -223,6 +223,8 @@ class Learner:
         L = batch.actions.shape[1]
         valid = np.arange(L)[None, :] < batch.lengths[:, None]
         obs_rows = batch.obs[:, :L, :][valid]
+        ids = batch.ids
+        del batch  # the gathered records are dead once the valid rows are copied out
         aloss, log_probs = sac.actor_loss(obs_rows, self.ensemble, self.actor, self.alpha, self.hyper, rng=self.rng)
         nn.adam_step_net(self.actor, self.cfg.lr_actor)
 
@@ -230,7 +232,7 @@ class Learner:
         self.log_alpha.step(tgrad, self.cfg.lr_alpha)
 
         self.ensemble.soft_update(self.cfg.tau)
-        self.store.update_priorities(batch.ids, res.segment_priorities)
+        self.store.update_priorities(ids, res.segment_priorities)
 
         self.steps += 1
         self.last_critic_loss = res.loss

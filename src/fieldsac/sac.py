@@ -239,26 +239,10 @@ def critic_loss(
     if batch.obs.shape[1] != L + n:
         raise ContractViolation(f"batch tail ({batch.obs.shape[1] - L}) does not match n_step {n}")
 
-    flat_obs = batch.obs[:, :L].reshape(B * L, obs_dim)
-    flat_act = batch.actions.reshape(B * L, act_dim)
-    boot_obs = batch.obs[:, n : n + L].reshape(B * L, obs_dim)
+    boot_q = _bootstrap_q(batch.obs[:, n : n + L].reshape(B * L, obs_dim), ensemble, actor_net, rng, boot_noise)
+    y = n_step_targets(batch.rewards, batch.dones, boot_q.reshape(B, L, -1), hyper)
 
-    # a* ~ pi(. | s_{t+n}) from the current policy
-    out, _ = nn.forward(actor_net, boot_obs, want_tape=False)
-    head, _ = policy.head_from_output(out)
-    if boot_noise is None:
-        if rng is None:
-            raise ConfigError("critic_loss needs an rng or explicit bootstrap noise")
-        boot_noise = rng.standard_normal(head.mu.shape)
-    a_boot = policy.sample(head, boot_noise).action
-
-    boot_in = np.concatenate([boot_obs, a_boot], axis=1)
-    (q1t, _), (q2t, _) = nn.forward_both((ensemble.q1_target.net, ensemble.q2_target.net), boot_in, want_tape=False)
-    boot_q = np.minimum(q1t, q2t).reshape(B, L, -1)
-
-    y = n_step_targets(batch.rewards, batch.dones, boot_q, hyper)
-
-    online_in = np.concatenate([flat_obs, flat_act], axis=1)
+    online_in = np.concatenate([batch.obs[:, :L].reshape(B * L, obs_dim), batch.actions.reshape(B * L, act_dim)], axis=1)
     online = (ensemble.q1.net, ensemble.q2.net)
     (q1, tape1), (q2, tape2) = nn.forward_both(online, online_in)
     d1 = q1.reshape(B, L, -1) - y
@@ -281,6 +265,27 @@ def critic_loss(
         [segment_priority(td[b, : batch.lengths[b]], eta) for b in range(B)]
     )
     return CriticLossResult(loss, td, prios, y)
+
+
+def _bootstrap_q(
+    boot_obs: np.ndarray,
+    ensemble: CriticEnsemble,
+    actor_net: nn.Network,
+    rng: np.random.Generator | None,
+    boot_noise: np.ndarray | None,
+) -> np.ndarray:
+    """min(Q1', Q2')(s, a*) with a* ~ pi(. | s) from the current policy, one
+    row per row of ``boot_obs``; its temporaries die on return."""
+    out, _ = nn.forward(actor_net, boot_obs, want_tape=False)
+    head, _ = policy.head_from_output(out)
+    if boot_noise is None:
+        if rng is None:
+            raise ConfigError("critic_loss needs an rng or explicit bootstrap noise")
+        boot_noise = rng.standard_normal(head.mu.shape)
+    a_boot = policy.sample(head, boot_noise).action
+    targets = (ensemble.q1_target.net, ensemble.q2_target.net)
+    (q1t, _), (q2t, _) = nn.forward_both(targets, np.concatenate([boot_obs, a_boot], axis=1), want_tape=False)
+    return np.minimum(q1t, q2t)
 
 
 def actor_loss(
@@ -312,6 +317,7 @@ def actor_loss(
     crit_in = np.concatenate([obs_rows, sampled.action], axis=1)
     critics = (ensemble.q1.net, ensemble.q2.net)
     (q1, tape1), (q2, tape2) = nn.forward_both(critics, crit_in, want_tape="input_grad")
+    del crit_in  # input_grad tapes keep no linear inputs
     take1 = q1 <= q2  # per-coordinate twin minimum (subgradient routes to the smaller)
     q_min = np.where(take1, q1, q2)
     q_term = q_min @ hyper.weights
@@ -327,6 +333,7 @@ def actor_loss(
     din1, din2 = nn.backward_both(critics, (tape1, tape2), (g1, g2), accumulate=False)
     obs_cols = obs_rows.shape[1]
     da = din1[:, obs_cols:] + din2[:, obs_cols:]
+    del din1, din2  # only their action columns are needed
 
     dlp_dmu, dlp_dls, da_dmu, da_dls = policy.sample_grads(head, sampled, noise, clamp_mask)
     coef_lp = alpha / M

@@ -98,6 +98,15 @@ class TestRejectsConfigsThatCannotTrain:
         assert TrainConfig(batch=16, min_store_segments=16).min_segments_to_learn == 16
         assert TrainConfig(batch=16, min_store_segments=0).min_segments_to_learn == 16
 
+    def test_budget_that_cannot_cut_one_batch(self):
+        # 100 steps on 4 samplers end by 103 steps, which cut at most 20
+        # segments; the stage used to run to its end and then exit 1
+        for kw in (dict(batch=21), dict(batch=16, min_store_segments=21), dict(batch=21, num_samplers=1, total_env_steps=104)):
+            with pytest.raises(ConfigError, match="total_env_steps.*min_segments_to_learn"):
+                TrainConfig(**{"total_env_steps": 100, "num_samplers": 4, **kw})
+        assert TrainConfig(total_env_steps=100, num_samplers=4, batch=20).min_segments_to_learn == 20
+        assert TrainConfig(total_env_steps=105, num_samplers=1, batch=21).batch == 21
+
     @pytest.mark.parametrize(
         "key, bad, edge",
         [
@@ -132,6 +141,7 @@ class TestRejectsConfigsThatCannotTrain:
             (["--eta", "7"], "eta"),
             (["--lr_critic", "-1"], "lr_critic"),
             (["--batch", "16", "--min_store_segments", "2"], "min_store_segments"),
+            (["--total_env_steps", "100", "--epoch_env_steps", "100"], "total_env_steps"),
         ],
     )
     def test_cli_exits_one_naming_the_key(self, tmp_path, capsys, flags, key):

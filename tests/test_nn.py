@@ -226,6 +226,7 @@ class TestKernelFormulas:
         assert _same_bits(blk.gw, (g * xhat).sum(axis=0, keepdims=True))
         assert _same_bits(blk.gb, g.sum(axis=0))
         net.zero_grads()
+        _, tape = nn.forward(net, h)  # a tape serves one backward pass
         assert _same_bits(nn.backward(net, tape, g, accumulate=False), old_g)
         assert np.all(blk.gw == 0.0) and np.all(blk.gb == 0.0)
 
@@ -239,6 +240,7 @@ class TestKernelFormulas:
             assert nn.backward(net, tape, g, want_input_grad=True) is not None
             with_grad = [(b.gw.copy(), b.gb.copy()) for b in net.param_blocks()]
             net.zero_grads()
+            _, tape = nn.forward(net, x)  # a tape serves one backward pass
             assert nn.backward(net, tape, g, want_input_grad=False) is None
             for blk, (gw, gb) in zip(net.param_blocks(), with_grad):
                 assert _same_bits(blk.gw, gw) and _same_bits(blk.gb, gb)
@@ -303,6 +305,129 @@ class TestFiniteScans:
     def test_mlp_scans_four_layers(self):
         net = nn.build_mlp(5, 8, 3, np.random.default_rng(0), activation="relu")
         assert [i for i, scan in enumerate(net.finite_scans) if scan] == [1, 5, 10, 13]
+
+
+def _old_pass(net, x, g, accumulate, want_input_grad):
+    """The forward and backward from before tapes were single-use, written
+    out: every ELU records its input, and backward writes only fresh
+    buffers.  Accumulates into ``net`` and returns the input gradient."""
+    h, records, skips = x, [], []
+    for spec, blk in zip(net.specs, net.blocks):
+        if spec.kind == "linear":
+            records.append(h)
+            h = h @ blk.w
+            h += blk.b
+        elif spec.kind == "layer_norm":
+            xhat = h - h.mean(axis=1, keepdims=True)
+            inv = (1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / h.shape[1] + nn.LN_EPS))[:, None]
+            xhat *= inv
+            records.append((xhat, inv))
+            h = xhat * blk.w[0]
+            h += blk.b
+        elif spec.kind == "elu":
+            records.append(h)
+            h = np.maximum(np.expm1(np.minimum(h, 0.0)), h)
+        elif spec.kind == "relu":
+            records.append(h > 0.0)
+            h = np.maximum(h, 0.0)
+        elif spec.kind == "residual_begin":
+            records.append(None)
+            skips.append(h)
+        else:
+            records.append(None)
+            h = h + skips.pop()
+    for i in range(len(net.specs) - 1, -1, -1):
+        kind, blk, rec = net.specs[i].kind, net.blocks[i], records[i]
+        if kind == "linear":
+            if accumulate:
+                blk.gw += rec.T @ g
+                blk.gb += g.sum(axis=0)
+            if i or want_input_grad:
+                g = g @ blk.w.T
+        elif kind == "layer_norm":
+            xhat, inv = rec
+            dxhat = g * blk.w[0]
+            t = dxhat * xhat
+            m2 = t.mean(axis=1, keepdims=True)
+            if accumulate:
+                blk.gw += np.multiply(g, xhat, out=t).sum(axis=0, keepdims=True)
+                blk.gb += g.sum(axis=0)
+            m1 = dxhat.mean(axis=1, keepdims=True)
+            dxhat -= m1
+            dxhat -= np.multiply(xhat, m2, out=t)
+            dxhat *= inv
+            g = dxhat
+        elif kind == "elu":
+            g = np.exp(np.minimum(rec, 0.0)) * g
+        elif kind == "relu":
+            g = g * rec
+        elif kind == "residual_begin":
+            g = g + skips.pop()
+        else:
+            skips.append(g)
+    return g if want_input_grad else None
+
+
+def _elu_stack(rng, width=8):
+    """ELUs that do not follow a layer norm (at layer 0, whose record is the
+    caller's x, after a linear and first in a residual span) beside two
+    that do, with nested spans, a relu after an activation and a layer
+    norm that meets the caller's output gradient first."""
+    kinds = ["elu", "linear", "elu", "residual_begin", "elu", "linear", "layer_norm", "elu", "residual_end",
+             "residual_begin", "residual_begin", "relu", "residual_end", "linear", "relu", "residual_end",
+             "layer_norm", "elu", "relu"]
+    specs = [nn.LayerSpec(k, width, width) for k in kinds] + [nn.LayerSpec("linear", width, 3), nn.LayerSpec("layer_norm", 3, 3)]
+    return nn.Network(specs, nn.arena_blocks(specs))
+
+
+class TestSingleUseTapes:
+    """``backward`` consumes its tape, writes into its own buffers and
+    rebuilds the input of an ELU after a layer norm; its results must be
+    the bits of the old backward on a tape that stored every ELU input."""
+
+    @pytest.mark.parametrize("stack, rebuilt", [("elu_mlp", 3), ("relu_mlp", 0), ("elu_stack", 2)])
+    @pytest.mark.parametrize("accumulate", [True, False])
+    @pytest.mark.parametrize("want_input_grad", [True, False])
+    def test_same_bits_as_the_old_backward(self, stack, rebuilt, accumulate, want_input_grad):
+        rng = np.random.default_rng(50)
+        if stack == "elu_stack":
+            net = _elu_stack(rng)
+        else:
+            net = random_net(rng, in_dim=8, hidden=8, out_dim=3, activation=stack[:-4])
+        x, g = rng.standard_normal((30, 8)) * 3.0, rng.standard_normal((30, 3))
+        x_before, g_before = x.copy(), g.copy()
+        # layer-norm shifts that are not zero, and non-zero accumulators as after an earlier pass
+        net.arena.params[:] = rng.standard_normal(net.n_params()) * 0.5
+        net.arena.grads[:] = rng.standard_normal(net.n_params())
+        ref = net.copy()
+        old_in = _old_pass(ref, x, g, accumulate, want_input_grad)
+
+        _, tape = nn.forward(net, x)
+        assert sum(r is None for r, s in zip(tape.records, net.specs) if s.kind == "elu") == rebuilt
+        gin = nn.backward(net, tape, g, accumulate, want_input_grad)
+        assert _same_bits(gin, old_in) if want_input_grad else gin is None
+        assert _same_bits(net.arena.grads, ref.arena.grads)
+        # the caller's input and output gradient are never written
+        assert _same_bits(x, x_before) and _same_bits(g, g_before)
+        assert tape.records is None and tape.batch == 30
+
+    def test_reused_tape_raises_before_any_thread_starts(self, twin_gate):
+        a, b, rng = _twin_nets(46)
+        x, g = rng.standard_normal((3, 5)), rng.standard_normal((3, 3))
+        (_, ta), (_, tb) = nn.forward_both((a, b), x)
+        nn.backward(a, ta, g)
+        grads = a.arena.grads.copy()
+        with pytest.raises(ContractViolation, match="consumed"):
+            nn.backward(a, ta, g)
+        before = threading.active_count()
+        for nets, tapes in (((a, b), (ta, tb)), ((b, a), (tb, ta))):
+            with pytest.raises(ContractViolation, match="consumed"):
+                nn.backward_both(nets, tapes, (g, g))
+        assert threading.active_count() == before
+        assert _same_bits(a.arena.grads, grads) and not b.arena.grads.any()
+        # the refused call consumed nothing: b's tape still serves one pass
+        nn.backward(b, tb, g)
+        assert b.arena.grads.any()
 
 
 def _twin_nets(seed):

@@ -357,13 +357,25 @@ class TestCli:
         assert "does/not/exist.txt" in capsys.readouterr().err
 
     def test_stage_without_learner_steps_exit_one(self, tmp_path, capsys):
-        # 100 env steps cut about 12 segments, fewer than desk's batch of 32
+        # 100 env steps cut at most 20 segments, fewer than desk's batch of 32,
+        # so the config is rejected before the stage starts
         desk = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "desk.txt")
         flags = ["--total_env_steps", "100", "--epoch_env_steps", "100", "--eval_episodes", "1", "--horizon", "50"]
         rc = cli.main(["pretrain", "--config", desk, "--out", str(tmp_path / "x"), *flags])
         assert rc == 1
         err = capsys.readouterr().err
         assert "total_env_steps" in err and "min_segments_to_learn" in err
+        assert not (tmp_path / "x" / "checkpoint").exists()
+
+    def test_stage_that_stores_too_few_segments_exits_one_after_the_loop(self, tmp_path, capsys):
+        # 103 steps could cut 20 segments, but 4 samplers of about 25 steps
+        # each in unfinished 50-step episodes store 12
+        desk = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "desk.txt")
+        flags = ["--total_env_steps", "100", "--epoch_env_steps", "100", "--eval_episodes", "1", "--horizon", "50", "--batch", "20"]
+        rc = cli.main(["pretrain", "--config", desk, "--out", str(tmp_path / "x"), *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "ended without a learner step" in err and "min_segments_to_learn" in err
         assert not (tmp_path / "x" / "checkpoint").exists()
 
     def test_unknown_override_exit_one(self, tmp_path, capsys):

@@ -81,6 +81,15 @@ class TestSegmentCutter:
         assert all(s.length == SEG_LEN for s in segs)
         assert segs[-1].start_index == 990
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 400), st.booleans())
+    def test_an_episode_of_t_steps_cuts_at_most_t_over_stride(self, T, finished):
+        # TrainConfig.validate rejects a budget from this bound
+        cutter = SegmentCutter(OBS_DIM, ACT_DIM, 0, n_tail=TAIL)
+        cutter.begin(np.zeros(OBS_DIM))
+        n = sum(len(cutter.push(np.zeros(ACT_DIM), np.zeros(7), finished and t == T - 1, np.zeros(OBS_DIM))) for t in range(T))
+        assert n <= T // SEG_STRIDE
+
     def test_start_indices_are_stride_multiples(self):
         segs = run_episode_through_cutter(137)
         starts = [s.start_index for s in segs]
