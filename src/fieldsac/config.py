@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .replay import SEG_STRIDE
+from .replay import SEG_LEN, SEG_STRIDE
 from .rewards import FINETUNE_WEIGHTS, PRETRAIN_WEIGHTS
 
 STAGES = ("pretrain", "finetune")
@@ -67,6 +67,11 @@ class TrainConfig:
         for key in ("num_samplers", "hidden", "batch", "publish_every", "n_step", "capacity", "horizon", "total_env_steps", "epoch_env_steps"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be positive")
+        if self.horizon < SEG_LEN // 2:
+            raise ConfigError(
+                f"horizon ({self.horizon}) is below {SEG_LEN // 2}: an episode needs at least SEG_LEN // 2 steps "
+                "to cut a replay segment, so the learner would never run"
+            )
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError("gamma must lie in (0, 1)")
         if self.replay_ratio <= 0.0:

@@ -8,7 +8,12 @@ a damped point mass driven by accelerations in (-1, 1)^2.
 Observations come in two widths: a 6-real proprioceptive vector (scaled
 position, velocity, previous action) and the 248-real variant that
 appends the flattened 2x11x11 local field grid sampled every 0.5 m
-around the agent.
+around the agent.  Both are pure functions of a 10-real env state row
+(position, velocity, previous action, sink, v_max, ramp), which every
+``StepResult`` carries as ``state``.  ``observe`` turns a batch of state
+rows into either width, and the env builds its own observations with it,
+so a row rebuilt from a stored state is byte-equal to the one the env
+emitted.  Samplers store state rows in replay for that reason.
 
 One instance is single-threaded; run one environment per sampler.
 """
@@ -44,6 +49,9 @@ GRID_HALF = GRID_N // 2
 FIELD_DIM = 2 * GRID_N * GRID_N  # 242
 OBS_TEACHER_DIM = 6
 OBS_STUDENT_DIM = OBS_TEACHER_DIM + FIELD_DIM  # 248
+# p (2), v (2), previous action (2), sink (2), v_max, ramp
+STATE_DIM = 10
+OBS_MODES = ("teacher", "student")
 
 # Scale applied to the position entries of the observation so every
 # observation coordinate stays O(1) inside the arena.
@@ -79,14 +87,45 @@ def field_at(fld: TargetField, x) -> np.ndarray:
     return d * (min(fld.v_max, fld.ramp * dist) / dist)
 
 
-def _field_at_many(fld: TargetField, xs: np.ndarray) -> np.ndarray:
-    d = fld.sink[None, :] - xs
-    dist = np.linalg.norm(d, axis=1)
-    mag = np.minimum(fld.v_max, fld.ramp * dist)
-    safe = np.where(dist > 0.0, dist, 1.0)
-    out = d * (mag / safe)[:, None]
-    out[dist == 0.0] = 0.0
+def observe(states, mode: str) -> np.ndarray:
+    """Teacher (N, 6) or student (N, 248) observation rows of (N, 10) env
+    state rows: position, velocity, previous action, sink, v_max, ramp."""
+    states = np.asarray(states, dtype=np.float64)
+    if states.ndim != 2 or states.shape[1] != STATE_DIM:
+        raise ConfigError(f"env state rows must have shape (N, {STATE_DIM}), not {states.shape}")
+    if mode not in OBS_MODES:
+        raise ConfigError(f"observation mode must be one of {OBS_MODES}, not {mode!r}")
+    n = len(states)
+    out = np.empty((n, OBS_TEACHER_DIM if mode == "teacher" else OBS_STUDENT_DIM))
+    np.multiply(POS_OBS_SCALE, states[:, 0:2], out=out[:, 0:2])
+    out[:, 2:OBS_TEACHER_DIM] = states[:, 2:6]
+    if mode == "student":
+        _grid_into(states, out[:, OBS_TEACHER_DIM:].reshape(n, 2, GRID_N, GRID_N))
     return out
+
+
+def _grid_into(states: np.ndarray, out: np.ndarray) -> None:
+    """Write each state's 2 x 11 x 11 field grid into ``out`` (N, 2, 11, 11).
+
+    Cell (i, j) samples the field at p + ((i - 5) * 0.5, (j - 5) * 0.5):
+    toward the sink with magnitude min(v_max, ramp * dist), zero where
+    dist == 0.  Only two (N, 11, 11) temporaries are alive at once.
+    """
+    offs = (np.arange(GRID_N) - GRID_HALF) * GRID_SPACING
+    col = states[:, :, None, None]  # (N, 10, 1, 1): column k broadcasts over the grid
+    dx = col[:, 6] - (col[:, 0] + offs[None, :, None])  # (N, 11, 1)
+    dy = col[:, 7] - (col[:, 1] + offs[None, None, :])  # (N, 1, 11)
+    dist = dx * dx + dy * dy
+    np.sqrt(dist, out=dist)
+    scale = col[:, 9] * dist
+    np.minimum(col[:, 8], scale, out=scale)
+    at_sink = dist == 0.0
+    dist[at_sink] = 1.0
+    scale /= dist
+    del dist
+    for c, d in enumerate((dx, dy)):
+        np.multiply(d, scale, out=out[:, c])
+        out[:, c][at_sink] = 0.0
 
 
 def local_grid(fld: TargetField, p) -> np.ndarray:
@@ -94,13 +133,10 @@ def local_grid(fld: TargetField, p) -> np.ndarray:
 
     values[c][i][j] is component c of the field at
     p + ((i - 5) * 0.5, (j - 5) * 0.5); the center cell equals field_at(p).
+    The one-row case of ``observe``.
     """
-    p = np.asarray(p, dtype=np.float64)
-    offs = (np.arange(GRID_N) - GRID_HALF) * GRID_SPACING
-    xx, yy = np.meshgrid(offs, offs, indexing="ij")
-    pts = np.stack([p[0] + xx.ravel(), p[1] + yy.ravel()], axis=1)
-    vals = _field_at_many(fld, pts)  # (121, 2)
-    return vals.T.reshape(2, GRID_N, GRID_N)
+    state = np.concatenate([np.asarray(p, dtype=np.float64), np.zeros(4), fld.sink, (fld.v_max, fld.ramp)])
+    return observe(state[None], "student")[0, OBS_TEACHER_DIM:].reshape(2, GRID_N, GRID_N)
 
 
 @dataclass
@@ -118,6 +154,7 @@ class StepResult:
     obs_student: np.ndarray
     reward: VectorReward
     done: bool
+    state: np.ndarray  # (STATE_DIM,) row that ``observe`` turns into either observation
     info: dict = field(default_factory=dict)
 
 
@@ -256,10 +293,10 @@ class PointMassEnv:
         return result
 
     def _result(self, reward: VectorReward, done: bool) -> StepResult:
-        st = self.state
-        v_tgt = field_at(self.field, st.p)
-        obs_t = np.concatenate([POS_OBS_SCALE * st.p, st.v, st.prev_action])
-        obs_s = np.concatenate([obs_t, local_grid(self.field, st.p).ravel()])
+        st, fld = self.state, self.field
+        v_tgt = field_at(fld, st.p)
+        state = np.concatenate([st.p, st.v, st.prev_action, fld.sink, (fld.v_max, fld.ramp)])
+        obs_s = observe(state[None], "student")[0]
         info = {
             "p": st.p.copy(),
             "v": st.v.copy(),
@@ -270,7 +307,7 @@ class PointMassEnv:
             "t": st.t,
             "clamp_count": self._clamp_count,
         }
-        return StepResult(obs_t, obs_s, reward, done, info)
+        return StepResult(obs_s[:OBS_TEACHER_DIM].copy(), obs_s, reward, done, state, info)
 
     def _flush_record(self) -> None:
         if self._record_rows is not None and self.state is not None and len(self._record_rows) > 1:

@@ -4,8 +4,13 @@ Several samplers roll episodes on private environment copies and append
 prioritized segments to the store; a single learner samples batches,
 applies the actor/critic/temperature updates, repriorizes, and
 periodically publishes an immutable policy snapshot that the samplers
-pick up.  One loop interleaves them: every sampler takes one step, then
-the learner steps while it is under the throttle
+pick up.  Samplers cut segments from the env's 10-real state rows, so
+``Segment.obs`` and ``SampleBatch.obs`` hold state rows; the learner
+rebuilds each batch's observations with ``env.observe`` right after
+sampling, and distillation rebuilds the teacher observations of the
+stored rows the same way.  One loop interleaves samplers and learner:
+every sampler takes one step, then the learner steps while it is under
+the throttle
     learner_steps <= replay_ratio * segments_appended / num_samplers.
 
 Seeds: sampler i rolls episode k with seed
@@ -25,7 +30,7 @@ import numpy as np
 
 from . import nn, policy, sac
 from .config import TrainConfig, config_to_text
-from .env import OBS_STUDENT_DIM, OBS_TEACHER_DIM, PointMassEnv, StepResult
+from .env import OBS_STUDENT_DIM, OBS_TEACHER_DIM, STATE_DIM, PointMassEnv, StepResult, observe
 from .errors import ConfigError, FieldsacError, NumericFault
 from .replay import AnnealSchedule, PrioritizedStore, SegmentCutter
 from .rewards import R_ENTROPY, EnvRewardConfig, TERM_NAMES
@@ -102,7 +107,6 @@ class Sampler:
             directional_pvb=cfg.directional_pvb,
             horizon=cfg.horizon,
         )
-        self.obs_dim = obs_dim_for_stage(cfg.stage)
         self.rng = np.random.default_rng(cfg.seed * 7919 + 13 * (sid + 1))
         self.episode_index = 0
         self.env_steps = 0
@@ -119,9 +123,9 @@ class Sampler:
     def _begin_episode(self) -> None:
         seed = self._episode_seed()
         sr = self.env.reset(seed, self.cfg.difficulty)
-        self._cutter = SegmentCutter(self.obs_dim, ACT_DIM, episode_id=seed, n_tail=self.cfg.n_step)
+        self._cutter = SegmentCutter(STATE_DIM, ACT_DIM, episode_id=seed, n_tail=self.cfg.n_step)
         self._last_obs = pick_obs(sr, self.cfg.obs_mode)
-        self._cutter.begin(self._last_obs)
+        self._cutter.begin(sr.state)
 
     def tick(self) -> int:
         """Advance one environment step; returns segments appended."""
@@ -141,9 +145,8 @@ class Sampler:
             self.env_steps += 1
             reward_vec = sr.reward.as_array()
             reward_vec[R_ENTROPY] = policy.entropy_bonus(sampled, self.snapshot.alpha)[0]
-            next_obs = pick_obs(sr, self.cfg.obs_mode)
-            segments = self._cutter.push(action, reward_vec, sr.done, next_obs)
-            self._last_obs = next_obs
+            segments = self._cutter.push(action, reward_vec, sr.done, sr.state)
+            self._last_obs = pick_obs(sr, self.cfg.obs_mode)
             appended = 0
             for seg in segments:
                 self.store.append(seg, priority=self.store.max_priority())
@@ -215,6 +218,8 @@ class Learner:
         exp = self.anneal.value(t)
         self.store.set_exponents(exp, exp)
         batch = self.store.sample(self.cfg.batch, self.rng)
+        B, T, _ = batch.obs.shape
+        batch.obs = observe(batch.obs.reshape(B * T, STATE_DIM), self.cfg.obs_mode).reshape(B, T, -1)
 
         res = sac.critic_loss(batch, self.ensemble, self.actor, self.hyper, rng=self.rng, eta=self.cfg.eta)
         nn.adam_step_net(self.ensemble.q1.net, self.cfg.lr_critic)
@@ -682,7 +687,8 @@ def run_distill_stage(
 
     bundle = load_checkpoint(teacher_ckpt_dir)
     store = PrioritizedStore.load(replay_dir)
-    states = store.all_observation_rows()
+    states = observe(store.all_observation_rows(), "teacher")
+    del store
     rng = np.random.default_rng(dcfg.seed)
     perm = rng.permutation(states.shape[0])
     n_hold = max(1, int(holdout_fraction * states.shape[0]))

@@ -4,6 +4,11 @@ Segments are runs of SEG_LEN consecutive steps that overlap by half and
 never cross episode boundaries.  Each segment also carries the
 observation rows and reward rows needed to form full n-step targets at
 every trained position, so the learner never reaches outside a segment.
+The cutter and the store take rows of any width.  Samplers cut segments
+from the env's 10-real state rows (``env.STATE_DIM``), not from the
+248-real observations: for those segments ``Segment.obs`` and
+``SampleBatch.obs`` hold state rows, and the learner rebuilds the
+observations of each batch with ``env.observe``.
 
 Priorities mix the max and mean of per-step TD magnitudes
 (eta * max + (1 - eta) * mean), are stored in a binary sum tree for
@@ -12,11 +17,16 @@ exponent alpha.  Importance weights follow (N * P)^-beta, normalized by
 the batch maximum.
 
 The store keeps one flat float64 record per slot; that record is both its
-memory and its ``fieldsac-replay-v1`` snapshot layout.
+memory and its ``fieldsac-replay-v2`` snapshot layout.  A sampler-cut
+record is 285 floats (15 state rows of 10, 10 actions of 2, 14 reward
+rows of 7, 14 dones and 3 keys).  ``fieldsac-replay-v1`` snapshots held
+observation rows instead; their position columns are scaled by 0.1, so
+the state cannot be recovered exactly and ``load`` refuses them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import sys
@@ -33,6 +43,7 @@ SEG_STRIDE = 5
 DEFAULT_CAPACITY = 250_000
 DEFAULT_ETA = 0.9
 PRIORITY_FLOOR = 1e-6
+REPLAY_FORMAT = "fieldsac-replay-v2"
 
 
 @dataclass(frozen=True)
@@ -55,7 +66,8 @@ class Segment:
     tail); ``rewards``/``dones`` have seg_len + n_tail - 1 rows so an
     n-step return exists at every trained position; ``actions`` covers
     the seg_len trained positions.  ``length`` counts real (non-padded)
-    trained steps; rows past the terminal are padding.
+    trained steps; rows past the terminal are padding.  Segments that a
+    sampler cuts hold env state rows in ``obs`` (see the module docstring).
     """
 
     obs: np.ndarray
@@ -425,9 +437,12 @@ class PrioritizedStore:
     # -- snapshot: text manifest + one float64 little-endian blob ----------
 
     def save(self, directory: str) -> tuple[str, str]:
+        """Write ``replay.bin``, then ``replay.manifest``.  Each goes to a
+        temporary file in ``directory`` first and is ``os.replace``d into
+        place, so a crash while writing leaves the previous file whole."""
         os.makedirs(directory, exist_ok=True)
         meta = {
-            "format": "fieldsac-replay-v1",
+            "format": REPLAY_FORMAT,
             "capacity": self.capacity,
             "size": self._size,
             "next": self._next,
@@ -445,11 +460,11 @@ class PrioritizedStore:
         }
         man_path = os.path.join(directory, "replay.manifest")
         bin_path = os.path.join(directory, "replay.bin")
-        with open(man_path, "w") as f:
-            f.write("\n".join(f"{k} = {v}" for k, v in meta.items()) + "\n")
-        with open(bin_path, "wb") as f:
+        with _replacing(bin_path) as f:
             for part in self._blob_parts():
                 f.write(part.astype("<f8", copy=False).data)
+        with _replacing(man_path) as f:
+            f.write(("\n".join(f"{k} = {v}" for k, v in meta.items()) + "\n").encode())
         return man_path, bin_path
 
     def _blob_parts(self) -> tuple[np.ndarray, ...]:
@@ -467,8 +482,15 @@ class PrioritizedStore:
                 if "=" in line:
                     k, _, v = line.partition("=")
                     kv[k.strip()] = v.strip()
-        if kv.get("format") != "fieldsac-replay-v1":
-            raise ConfigError("unrecognized replay snapshot format")
+        fmt = kv.get("format")
+        if fmt == "fieldsac-replay-v1":
+            raise ConfigError(
+                f"{man_path} is a fieldsac-replay-v1 snapshot, which this version cannot read: its rows hold "
+                f"observations with the position scaled by 0.1, so the env state rows of {REPLAY_FORMAT} cannot be "
+                "recovered exactly; re-run the stage that saved it"
+            )
+        if fmt != REPLAY_FORMAT:
+            raise ConfigError(f"unrecognized replay snapshot format {fmt!r}")
         store = cls(
             capacity=int(kv["capacity"]),
             alpha=float(kv["alpha"]),
@@ -507,8 +529,24 @@ class PrioritizedStore:
         return store
 
     def all_observation_rows(self) -> np.ndarray:
-        """Every stored trained-step observation row (used by distillation)."""
+        """Every stored trained-step row of ``obs`` (env state rows for
+        sampler-cut segments; distillation rebuilds observations from them)."""
         if not self._size:
             raise NotReadyError("store is empty")
         obs, _, _, _, keys = self._fields(self._rec[: self._size])
         return obs[:, : self.seg_len][np.arange(self.seg_len) < keys[:, 2:]]
+
+
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A binary file that replaces ``path`` only once it is fully written;
+    on an error the temporary file is removed and ``path`` is untouched."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise

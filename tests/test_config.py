@@ -132,6 +132,14 @@ class TestRejectsConfigsThatCannotTrain:
         for path in ("configs/desk.txt", "configs/fullscale.txt"):
             load_config(os.path.join(ROOT, path))
 
+    def test_horizon_too_short_to_cut_a_segment(self):
+        # an episode of 4 steps cuts no segment; such a stage used to run its
+        # whole budget and then exit 1 naming total_env_steps
+        for bad in (1, 4):
+            with pytest.raises(ConfigError, match="horizon"):
+                TrainConfig(horizon=bad)
+        assert TrainConfig(horizon=5).horizon == 5
+
     @pytest.mark.parametrize(
         "flags, key",
         [
@@ -142,6 +150,7 @@ class TestRejectsConfigsThatCannotTrain:
             (["--lr_critic", "-1"], "lr_critic"),
             (["--batch", "16", "--min_store_segments", "2"], "min_store_segments"),
             (["--total_env_steps", "100", "--epoch_env_steps", "100"], "total_env_steps"),
+            (["--horizon", "4"], "horizon"),
         ],
     )
     def test_cli_exits_one_naming_the_key(self, tmp_path, capsys, flags, key):

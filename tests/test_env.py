@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fieldsac import env as envmod
-from fieldsac.env import PointMassEnv, TargetField, field_at, local_grid
+from fieldsac.env import STATE_DIM, PointMassEnv, TargetField, field_at, local_grid, observe
 from fieldsac.errors import ConfigError, ContractViolation
+from fieldsac.replay import SegmentCutter
 from fieldsac.rewards import EnvRewardConfig
 
 
@@ -70,6 +72,110 @@ class TestLocalGrid:
                     continue
                 q = np.array([(i - 5) * 0.5, (j - 5) * 0.5])
                 assert np.dot(g[:, i, j], -q) > 0.0
+
+
+def reference_obs(p, v, prev_action, sink, v_max, ramp):
+    """Teacher and student observations by the per-point formula: the grid
+    points of one meshgrid, np.linalg.norm distances, zero where dist == 0."""
+    offs = (np.arange(11) - 5) * 0.5
+    xx, yy = np.meshgrid(offs, offs, indexing="ij")
+    pts = np.stack([p[0] + xx.ravel(), p[1] + yy.ravel()], axis=1)
+    d = np.asarray(sink)[None, :] - pts
+    dist = np.linalg.norm(d, axis=1)
+    mag = np.minimum(v_max, ramp * dist)
+    vals = d * (mag / np.where(dist > 0.0, dist, 1.0))[:, None]
+    vals[dist == 0.0] = 0.0
+    teacher = np.concatenate([0.1 * np.asarray(p), v, prev_action])
+    return teacher, np.concatenate([teacher, vals.T.ravel()])
+
+
+def reference_from_env(e):
+    st_, f = e.state, e.field
+    return reference_obs(st_.p, st_.v, st_.prev_action, f.sink, f.v_max, f.ramp)
+
+
+def assert_rebuilt(states, teacher_rows, student_rows):
+    assert observe(states, "teacher").tobytes() == np.asarray(teacher_rows).tobytes()
+    assert observe(states, "student").tobytes() == np.asarray(student_rows).tobytes()
+
+
+class TestObserve:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sink2=st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+        cell=st.tuples(st.integers(0, 10), st.integers(0, 10)),
+        jitter=st.sampled_from([0.0, 1e-170, -1e-9, 0.25, 3.3]),
+        v=st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+        a=st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+        v_max=st.floats(1.0, 1.8),
+        ramp=st.floats(0.5, 1.0),
+    )
+    # a 1e-170 offset squares to 0, so dist == 0 beside a nonzero difference
+    @example(sink2=(0, 0), cell=(5, 5), jitter=1e-170, v=(0.0, 0.0), a=(0.0, 0.0), v_max=1.4, ramp=0.7)
+    def test_state_rows_rebuild_the_reference_bytes(self, sink2, cell, jitter, v, a, v_max, ramp):
+        # with jitter 0 the grid cell ``cell`` lies exactly on the sink (dist == 0)
+        sink = np.array(sink2) * 0.5
+        p = sink - (np.array(cell) - 5) * 0.5 + jitter
+        state = np.concatenate([p, v, a, sink, (v_max, ramp)])
+        teacher, student = reference_obs(p, np.array(v), np.array(a), sink, v_max, ramp)
+        assert_rebuilt(state[None], teacher[None], student[None])
+        grid = student[6:].reshape(2, 11, 11)
+        assert local_grid(TargetField(sink, v_max, ramp), p).tobytes() == grid.tobytes()
+        if jitter == 0.0:
+            assert np.all(grid[:, cell[0], cell[1]] == 0.0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10**6), difficulty=st.sampled_from([0, 1, 2, 3]), horizon=st.integers(5, 40),
+           act_seed=st.integers(0, 10**6))
+    def test_env_rows_and_cut_segments_rebuild_byte_equal(self, seed, difficulty, horizon, act_seed):
+        # one cutter takes the env's state rows, one its observations: the
+        # rebuilt rows of every segment, padded terminal rows included,
+        # equal the observations the env emitted
+        e = PointMassEnv(horizon=horizon)
+        sr = e.reset(seed, difficulty)
+        cutters = {k: SegmentCutter(dim, 2, seed) for k, dim in (("state", STATE_DIM), ("teacher", 6), ("student", 248))}
+        for key, c in cutters.items():
+            c.begin(sr.state if key == "state" else getattr(sr, f"obs_{key}"))
+        rng = np.random.default_rng(act_seed)
+        segs = {k: [] for k in cutters}
+        while not sr.done:
+            ref = reference_from_env(e)
+            assert_rebuilt(sr.state[None], ref[0][None], ref[1][None])
+            assert sr.obs_teacher.tobytes() == ref[0].tobytes() and sr.obs_student.tobytes() == ref[1].tobytes()
+            action = rng.uniform(-1.2, 1.2, 2)
+            sr = e.step(action)
+            for key, c in cutters.items():
+                segs[key] += c.push(action, sr.reward.as_array(), sr.done, sr.state if key == "state" else getattr(sr, f"obs_{key}"))
+        assert len(segs["state"]) == len(segs["student"]) >= 1
+        for s_seg, t_seg, o_seg in zip(segs["state"], segs["teacher"], segs["student"]):
+            assert_rebuilt(s_seg.obs, t_seg.obs, o_seg.obs)
+
+    def test_difficulty3_respawn_mid_episode(self):
+        e = PointMassEnv(horizon=5000)
+        sr = e.reset(seed=4, difficulty=3)
+        states, teacher, student = [sr.state], [sr.obs_teacher], [sr.obs_student]
+        respawn_at = None
+        while not e.done and (respawn_at is None or len(states) < respawn_at + 20):
+            v_tgt = field_at(e.field, e.state.p)
+            sr = e.step(np.clip(2.0 * (v_tgt - e.state.v) + 0.25 * v_tgt, -1, 1))
+            states.append(sr.state)
+            teacher.append(sr.obs_teacher)
+            student.append(sr.obs_student)
+            ref = reference_from_env(e)
+            assert sr.obs_student.tobytes() == ref[1].tobytes()
+            if respawn_at is None and e._respawned:
+                respawn_at = len(states) - 1
+        assert respawn_at is not None and not e.done
+        states = np.stack(states)
+        assert not np.array_equal(states[respawn_at - 1, 6:], states[respawn_at, 6:])  # the sink moved
+        assert_rebuilt(states, np.stack(teacher), np.stack(student))
+
+    def test_rejects_other_widths_and_modes(self):
+        with pytest.raises(ConfigError, match="state rows"):
+            observe(np.zeros((3, 6)), "teacher")
+        with pytest.raises(ConfigError, match="mode"):
+            observe(np.zeros((3, STATE_DIM)), "grid")
+        assert observe(np.zeros((0, STATE_DIM)), "student").shape == (0, 248)
 
 
 class TestReset:

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from fieldsac import cli, distill, nn, pipeline, sac
-from fieldsac.config import TrainConfig
-from fieldsac.env import PointMassEnv
+from fieldsac.config import TrainConfig, load_config
+from fieldsac.env import STATE_DIM, PointMassEnv
 from fieldsac.errors import ConfigError, NumericFault
-from fieldsac.replay import PrioritizedStore
+from fieldsac.replay import SEG_LEN, PrioritizedStore
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def tiny_cfg(**kw):
@@ -78,6 +80,25 @@ class TestSampler:
         seg = store.segment(0)
         # the environment emits zero; the sampler must have overwritten it
         assert np.any(seg.rewards[: seg.length, 6] != 0.0)
+
+    def test_stored_records_fit_fullscale_capacity(self):
+        # a sampler stores 15 env state rows of 10 floats per segment: a
+        # record of 285 floats (it was 3,855 with 248-float observations)
+        cfg = load_config(os.path.join(ROOT, "configs", "fullscale.txt"), overrides={"stage": "finetune", "difficulty": 2})
+        assert cfg.n_step == 5
+        store = PrioritizedStore(capacity=cfg.capacity, n_tail=cfg.n_step)
+        hub = pipeline.PolicySnapshotHub()
+        actor, _ = pipeline.build_learner_nets(cfg, np.random.default_rng(0))
+        hub.publish(actor, cfg.init_alpha)
+        sampler = pipeline.Sampler(0, cfg, store, hub)
+        while len(store) < 3:
+            sampler.tick()
+        seg = store.segment(0)
+        assert seg.obs.shape == (SEG_LEN + cfg.n_step, STATE_DIM)
+        assert store._rec.shape[1] == 285
+        per_slot = store._rec.shape[1] * store._rec.itemsize + store._raw_p.itemsize + store._gen.itemsize
+        at_capacity = cfg.capacity * per_slot + store._tree.tree.nbytes
+        assert at_capacity < 600e6
 
     def test_snapshot_version_never_decreases(self):
         cfg = tiny_cfg(num_samplers=1, publish_every=5)
@@ -377,6 +398,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert "ended without a learner step" in err and "min_segments_to_learn" in err
         assert not (tmp_path / "x" / "checkpoint").exists()
+
+    def test_distill_on_a_v1_replay_snapshot_exits_one(self, tmp_path, capsys):
+        cfg = tiny_cfg()
+        actor, ens = pipeline.build_learner_nets(cfg, np.random.default_rng(0))
+        teacher = pipeline.save_checkpoint(str(tmp_path / "teacher"), actor, ens, sac.ScalarAdam(value=0.0), cfg)
+        store, _, _, samplers = fresh_setup(cfg)
+        while len(store) < 2:
+            samplers[0].tick()
+        man_path, _ = store.save(str(tmp_path / "replay"))
+        with open(man_path) as f:
+            text = f.read()
+        with open(man_path, "w") as f:
+            f.write(text.replace("fieldsac-replay-v2", "fieldsac-replay-v1"))
+        rc = cli.main(["distill", "--teacher", teacher, "--replay", str(tmp_path / "replay"), "--out", str(tmp_path / "dist")])
+        assert rc == 1
+        assert "fieldsac-replay-v1" in capsys.readouterr().err
+        assert not (tmp_path / "dist" / "checkpoint").exists()
 
     def test_unknown_override_exit_one(self, tmp_path, capsys):
         rc = cli.main(["pretrain", "--out", str(tmp_path / "x"), "--frobnicate", "9"])

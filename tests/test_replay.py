@@ -472,6 +472,52 @@ class TestPrioritizedStore:
             assert f.read() == b""
         assert len(PrioritizedStore.load(str(tmp_path / "empty"))) == 0
 
+    def test_save_that_fails_partway_keeps_the_previous_snapshot(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(30)
+        store = PrioritizedStore(capacity=8)
+        for _ in range(3):
+            store.append(make_segment(rng), priority=1.0)
+        man_path, bin_path = store.save(str(tmp_path))
+        with open(man_path, "rb") as f, open(bin_path, "rb") as g:
+            before = f.read(), g.read()
+        for _ in range(2):
+            store.append(make_segment(rng), priority=2.0)
+        real = PrioritizedStore._blob_parts
+
+        def parts_then_fail(self):
+            yield real(self)[0]  # the records reach the file, then the disk "fills"
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(PrioritizedStore, "_blob_parts", parts_then_fail)
+        with pytest.raises(OSError, match="No space"):
+            store.save(str(tmp_path))
+        monkeypatch.undo()
+        assert sorted(os.listdir(tmp_path)) == ["replay.bin", "replay.manifest"]
+        with open(man_path, "rb") as f, open(bin_path, "rb") as g:
+            assert (f.read(), g.read()) == before
+        loaded = PrioritizedStore.load(str(tmp_path))
+        assert len(loaded) == 3
+        assert loaded.all_observation_rows().tobytes() == np.concatenate([store.segment(i).obs[:SEG_LEN] for i in range(3)]).tobytes()
+        store.save(str(tmp_path))  # a save that completes replaces both files
+        assert len(PrioritizedStore.load(str(tmp_path))) == 5
+        assert sorted(os.listdir(tmp_path)) == ["replay.bin", "replay.manifest"]
+
+    def test_load_refuses_v1_snapshots_naming_the_format(self, tmp_path):
+        store = PrioritizedStore(capacity=4)
+        store.append(make_segment(np.random.default_rng(31)), priority=1.0)
+        man_path, _ = store.save(str(tmp_path))
+        with open(man_path) as f:
+            text = f.read()
+        assert "format = fieldsac-replay-v2\n" in text
+        with open(man_path, "w") as f:
+            f.write(text.replace("fieldsac-replay-v2", "fieldsac-replay-v1"))
+        with pytest.raises(ConfigError, match="fieldsac-replay-v1"):
+            PrioritizedStore.load(str(tmp_path))
+        with open(man_path, "w") as f:
+            f.write(text.replace("fieldsac-replay-v2", "fieldsac-replay-v9"))
+        with pytest.raises(ConfigError, match="unrecognized replay snapshot format 'fieldsac-replay-v9'"):
+            PrioritizedStore.load(str(tmp_path))
+
     @pytest.mark.parametrize("key, value", [("size", "17"), ("next", "16"), ("next", "-1"), ("size", "-2"), ("next", "5")])
     def test_load_rejects_manifest_outside_capacity(self, tmp_path, key, value):
         rng = np.random.default_rng(24)

@@ -2,15 +2,18 @@
 
     python3 tools/ab.py --topic replay_records [--parent HEAD]
 
-Exports the parent revision with ``git archive`` into a temporary
-directory (no worktree is registered, so an interrupted run leaves
-nothing behind in the repository), then runs ``perfbench/run.py --trace
-0 --seconds <run_seconds>`` on the parent and on this checkout, one run
-at a time, for ten pairs on every workload of ``BENCHMARK.json``.  Pair
+Exports the parent revision with ``git archive`` and this checkout's
+working tree (tracked files as they stand plus untracked files that
+``.gitignore`` does not exclude) into two temporary directories through
+the same tar extraction, so both sides run from the same kind of fresh
+tree.  No worktree is registered, so an interrupted run leaves nothing
+behind in the repository.  Then runs ``perfbench/run.py --trace 0
+--seconds <run_seconds>`` on the parent and on the change, one run at a
+time, for ten pairs on every workload of ``BENCHMARK.json``.  Pair
 ``i`` runs with seed ``101 + i`` on both sides, and the parent goes first
 when ``i`` is even.  A run that exceeds its timeout is recorded as
 incorrect.  After every pair it rewrites ``BENCH_<topic>.json`` at the
-root of this checkout: the command, the machine of this checkout's runs,
+root of this checkout: the command, the machine of the change's runs,
 every raw run and, per workload and end-to-end metric of
 ``BENCHMARK.json``, both sides' medians and quartiles and the number of
 pairs each side won (ties count for neither).
@@ -33,14 +36,33 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
 
 
+def _extract(tar: bytes, dest: str) -> None:
+    with tarfile.open(fileobj=io.BytesIO(tar)) as t:
+        t.extractall(dest, filter="data")
+
+
 def export(rev: str, dest: str) -> str:
     """Write the tree of ``rev`` into ``dest``; returns the full commit id."""
     git = ["git", "-C", ROOT]
     commit = subprocess.run([*git, "rev-parse", "--verify", rev + "^{commit}"], capture_output=True, text=True, check=True).stdout.strip()
-    tar = subprocess.run([*git, "archive", commit], capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as t:
-        t.extractall(dest, filter="data")
+    _extract(subprocess.run([*git, "archive", commit], capture_output=True, check=True).stdout, dest)
     return commit
+
+
+def export_worktree(dest: str) -> int:
+    """Write this checkout's working tree into ``dest``: tracked files as they
+    stand (deleted ones left out) and untracked files that ``.gitignore``
+    does not exclude.  Returns the number of files written."""
+    listed = subprocess.run(
+        ["git", "-C", ROOT, "ls-files", "-z", "--cached", "--others", "--exclude-standard"], capture_output=True, check=True
+    ).stdout.decode()
+    names = sorted({n for n in listed.split("\0") if n and os.path.lexists(os.path.join(ROOT, n))})
+    buf = io.BytesIO()
+    with tarfile.open(fileobj=buf, mode="w") as t:
+        for name in names:
+            t.add(os.path.join(ROOT, name), arcname=name, recursive=False)
+    _extract(buf.getvalue(), dest)
+    return len(names)
 
 
 def _describe(checkout: str) -> dict:
@@ -123,15 +145,16 @@ def main(argv=None) -> int:
         "machine": None,
         "workloads": {w: {"pairs": [], "summary": {}} for w in workloads},
     }
-    with tempfile.TemporaryDirectory(prefix="ab-parent-") as parent:
+    with tempfile.TemporaryDirectory(prefix="ab-parent-") as parent, tempfile.TemporaryDirectory(prefix="ab-change-") as change:
         report["parent"] = export(args.parent, parent)
+        report["change"]["exported_files"] = export_worktree(change)
         for i in range(PAIRS):
             seed = 101 + i
             for w in workloads:
                 sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"seed": seed, "first": sides[0]}
                 for side in sides:
-                    pair[side] = run_once(parent if side == "parent" else ROOT, w, seed, seconds)
+                    pair[side] = run_once(parent if side == "parent" else change, w, seed, seconds)
                     machine = pair[side].pop("machine")
                     if side == "change":
                         report["machine"] = report["machine"] or machine
