@@ -8,12 +8,20 @@ finite differences by ``grad_check``).
 
 Tapes are single-use: ``backward`` frees each record as soon as its layer
 is done, and a second backward on the same tape raises
-``ContractViolation``.  The pass overwrites only gradient buffers it made
-itself (never the caller's output gradient, one a residual span still
-needs, or the caller's input).  An ELU right after a layer norm records
-nothing: backward rebuilds its input from the layer norm's record with
-the forward's own operations (``xhat * w``, then ``+= b``), so the bits
+``ContractViolation``.  An ELU right after a layer norm records nothing:
+backward rebuilds its input from the layer norm's record with the
+forward's own operations (``xhat * w``, then ``+= b``), so the bits
 match a stored copy.
+
+Buffer ownership: a pass overwrites only buffers it made itself and that
+nothing else holds: never the caller's input or output gradient, a tape
+record (``xhat`` stays readable after backward), or a residual skip
+while its span still needs it.  Within that, a forward's layer norm
+centres its input (the linear layer's output) in place and, without a
+tape, also scales it in place; relu and the residual add write into the
+buffer they own.  The layer-norm backward reuses its ``g * xhat`` buffer
+as scratch.  An in-place operation computes the bits of its
+fresh-buffer form.
 
 Batches are 2-D float64 arrays, one row per sample, features along
 columns.  One network instance must only be mutated from a single thread;
@@ -29,17 +37,30 @@ still stores the step count once per block.  Every ``ParamBlock`` field
 reshaped view into the arena, so Adam, soft updates, gradient zeroing,
 copies and fingerprints each act on whole vectors.
 
-Twin passes: ``forward_both`` and ``backward_both`` run one pass of two
-networks each: the first through the public ``forward``/``backward`` on
-the calling thread, the second through the private bodies on a worker
-thread that is joined before they return.  numpy releases the GIL inside
-BLAS and ufunc loops, so on two cores the passes overlap; each pass still
-runs start to end on one thread, so the results are bit-identical to two
-single calls.  Below ``_BOTH_MIN_WORK`` multiply-adds per pass the thread
-costs more than the overlap saves, and the passes run one after the
-other on the calling thread.  ``want_tape="input_grad"`` records no
-linear-layer inputs, which only parameter gradients need; such a tape is
-smaller and ``backward`` refuses to accumulate from it.
+Two lanes: numpy releases the GIL inside BLAS and ufunc loops, so on two
+cores two passes overlap.  ``_lane`` opens the one worker lane: a thread
+that runs nn-private jobs in order and is joined before the call that
+opened it returns.  A lock allows one open lane, so at most two threads
+run passes.  Below ``_BOTH_MIN_WORK`` multiply-adds per pass the thread
+costs more than the overlap saves, and everything runs on the calling
+thread.  The lane has two users:
+
+- ``run_pair`` runs two passes made by ``forward_pass``/``backward_pass``
+  (which check their arguments): the first through the public
+  ``forward``/``backward`` on the calling thread, the second's private
+  body on the lane.  ``forward_both``/``backward_both`` pair two
+  networks on one input or two tapes.
+- A lone accumulating ``backward`` hands each linear layer's weight and
+  bias gradient to the lane, which adds them into ``gw``/``gb`` in layer
+  order while the calling thread carries the input gradient down.  A
+  backward that is the first pass of a pair finds the lane taken and
+  keeps them on its own thread.
+
+Every pass and every gradient still runs start to end on one thread, so
+the results are bit-identical to single calls on one thread.
+``want_tape="input_grad"`` records no linear-layer inputs, which only
+parameter gradients need; such a tape is smaller and ``backward``
+refuses to accumulate from it.
 
 Finite scans: ``forward`` checks for non-finite values only at the
 output and at the input of every ``relu``/``elu``.  Those are the only
@@ -53,8 +74,12 @@ from __future__ import annotations
 
 import sys
 import threading
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
+from typing import Callable
 
 import numpy as np
 
@@ -71,8 +96,8 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# Multiply-adds per pass (rows x parameters) from which ``_both`` puts the
-# second pass on a worker thread.  On a 2-vCPU host ``tools/twin_crossover.py``
+# Multiply-adds per pass (rows x parameters) from which ``_lane`` opens a
+# worker thread.  On a 2-vCPU host ``tools/twin_crossover.py``
 # timed a critic pair on two threads at 0.90-1.21x its sequential time at
 # desk shapes (about 3e6), at 0.58-1.31x from 1e7 to 3e7, where it depends
 # on the other core being free, and at 0.55-0.87x from 3.2e7 up.
@@ -327,15 +352,49 @@ def forward(net: Network, x: np.ndarray, want_tape: bool | str = True) -> tuple[
     return _forward(net, _check_input(net, x, want_tape), want_tape)
 
 
+class Pass:
+    """One checked forward or backward pass for ``run_pair``: ``public`` is
+    the public function (run on the calling thread), ``body`` its private
+    body without the checks (run on the worker lane), ``work`` the
+    multiply-adds (rows x parameters)."""
+
+    __slots__ = ("public", "body", "args", "work")
+
+    def __init__(self, public: Callable, body: Callable, args: tuple, work: int):
+        self.public, self.body, self.args, self.work = public, body, args, work
+
+
+def forward_pass(net: Network, x: np.ndarray, want_tape: bool | str = True) -> Pass:
+    """``forward(net, x, want_tape)``, checked now, run by ``run_pair``."""
+    x = _check_input(net, x, want_tape)
+    return Pass(forward, _forward, (net, x, want_tape), x.shape[0] * net.n_params())
+
+
+def backward_pass(net: Network, tape: Tape, output_grad: np.ndarray, accumulate: bool = True, want_input_grad: bool = True) -> Pass:
+    """``backward(net, tape, output_grad, ...)``, checked now, run by ``run_pair``."""
+    g = _check_grad(net, tape, output_grad, accumulate)
+    return Pass(backward, _backward, (net, tape, g, accumulate, want_input_grad), tape.batch * net.n_params())
+
+
+def run_pair(first: Pass, second: Pass) -> tuple:
+    """The results of two passes, the same bits as two single calls:
+    ``first`` through its public function on the calling thread, and
+    ``second``'s body on the worker lane (see ``_lane``) or, without one,
+    after ``first`` on the calling thread.  When both fail, ``first``'s
+    error is raised."""
+    with _lane(min(first.work, second.work)) as lane:
+        if lane is None:
+            return first.public(*first.args), second.body(*second.args)
+        lane.submit(partial(second.body, *second.args))
+        out = first.public(*first.args)
+    return out, lane.results[0]
+
+
 def forward_both(nets: tuple[Network, Network], x: np.ndarray, want_tape: bool | str = True):
-    """``(forward(nets[0], x, want_tape), forward(nets[1], x, want_tape))``,
-    bit for bit, with the two passes on two threads (see ``_both``).  When
-    both fail, the first network's error is raised."""
+    """``(forward(nets[0], x, want_tape), forward(nets[1], x, want_tape))``
+    through ``run_pair``."""
     a, b = nets
-    x = _check_input(a, x, want_tape)
-    _check_input(b, x, want_tape)
-    work = x.shape[0] * min(a.n_params(), b.n_params())
-    return _both(lambda: forward(a, x, want_tape), lambda: _forward(b, x, want_tape), work)
+    return run_pair(forward_pass(a, x, want_tape), forward_pass(b, x, want_tape))
 
 
 def _check_input(net: Network, x: np.ndarray, want_tape: bool | str) -> np.ndarray:
@@ -359,33 +418,60 @@ def _forward(net: Network, x: np.ndarray, want_tape: bool | str) -> tuple[np.nda
     return h, Tape(net, records, x.shape[0], want_tape != "input_grad")
 
 
-def _both(first, second, work: int) -> tuple:
-    """``(first(), second())``, with ``second()`` on a worker thread from
-    ``_BOTH_MIN_WORK`` multiply-adds per pass up.  The worker is always
-    joined before returning and its error is raised here; when both fail,
-    ``first()``'s error wins, as it would run first.  ``second`` must call
-    only nn-private code: a profiler that wraps the public functions keeps
-    one span stack for the process.
-    """
-    if work < _BOTH_MIN_WORK:
-        return first(), second()
-    out: list = [None, None]  # the worker's result and error
+class _Lane:
+    """A worker thread that runs the jobs handed to ``submit`` in order and
+    keeps their results; after a failed job it only drains the queue."""
 
-    def worker() -> None:
-        try:
-            out[0] = second()
-        except BaseException as e:  # re-raised on the calling thread
-            out[1] = e
+    def __init__(self):
+        self.results: list = []
+        self.error: BaseException | None = None
+        self._jobs: deque = deque()
+        self._queued = threading.Semaphore(0)
+        self._thread = threading.Thread(target=self._work)
+        self._thread.start()
 
-    t = threading.Thread(target=worker)
-    t.start()
+    def submit(self, job: Callable | None) -> None:
+        self._jobs.append(job)
+        self._queued.release()
+
+    def _work(self) -> None:
+        while self._queued.acquire() and (job := self._jobs.popleft()) is not None:
+            if self.error is None:
+                try:
+                    self.results.append(job())
+                except BaseException as e:  # re-raised on the calling thread
+                    self.error = e
+
+    def join(self) -> None:
+        self.submit(None)  # the worker stops here
+        self._thread.join()
+
+
+# Held while a worker lane is open, so at most two threads run passes.
+_LANE_OPEN = threading.Lock()
+
+
+@contextmanager
+def _lane(work: int):
+    """A worker lane for a pass of ``work`` multiply-adds, or None below
+    ``_BOTH_MIN_WORK`` or while another lane is open (a pass run inside a
+    pair then keeps everything on its own thread).  The worker is joined
+    on exit and its error raised there, unless the body raised first.
+    Jobs must call only nn-private code: a profiler that wraps the public
+    functions keeps one span stack for the process."""
+    if work < _BOTH_MIN_WORK or not _LANE_OPEN.acquire(blocking=False):
+        yield None
+        return
     try:
-        first_out = first()
+        lane = _Lane()
+        try:
+            yield lane
+        finally:
+            lane.join()
+        if lane.error is not None:
+            raise lane.error
     finally:
-        t.join()
-    if out[1] is not None:
-        raise out[1]
-    return first_out, out[0]
+        _LANE_OPEN.release()
 
 
 def _mean_rows(a: np.ndarray) -> np.ndarray:
@@ -401,6 +487,7 @@ def _run(net: Network, x: np.ndarray, want_tape: bool | str, scans: tuple[bool, 
     set whose output is not finite and returns its index (-1 if none)."""
     keep_inputs = want_tape != "input_grad"
     h = x
+    own = False  # whether ``h`` is a buffer of this pass that nothing else holds
     records: list = []
     res_stack: list[np.ndarray] = []
     for i, (spec, blk, scan) in enumerate(zip(net.specs, net.blocks, scans)):
@@ -410,13 +497,13 @@ def _run(net: Network, x: np.ndarray, want_tape: bool | str, scans: tuple[bool, 
             h = h @ blk.w
             h += blk.b
         elif spec.kind == "layer_norm":
-            xhat = h - _mean_rows(h)
+            xhat = np.subtract(h, _mean_rows(h), out=h if own else None)
             var = np.einsum("ij,ij->i", xhat, xhat) / h.shape[1]
             inv = (1.0 / np.sqrt(var + LN_EPS))[:, None]
             xhat *= inv
             if want_tape:
                 records.append((xhat, inv))
-            h = xhat * blk.w[0]
+            h = np.multiply(xhat, blk.w[0], out=None if want_tape else xhat)
             h += blk.b
         elif spec.kind == "elu":
             if want_tape:
@@ -429,15 +516,16 @@ def _run(net: Network, x: np.ndarray, want_tape: bool | str, scans: tuple[bool, 
         elif spec.kind == "relu":
             if want_tape:
                 records.append(h > 0.0)
-            h = np.maximum(h, 0.0)
+            h = np.maximum(h, 0.0, out=h if own else None)
         elif spec.kind == "residual_begin":
             res_stack.append(h)
             if want_tape:
                 records.append(None)
         else:  # residual_end
-            h = h + res_stack.pop()
+            h = np.add(h, res_stack.pop(), out=h if own else None)
             if want_tape:
                 records.append(None)
+        own = spec.kind != "residual_begin"  # the skip shares h until the next layer replaces it
         if scan and not np.isfinite(h).all():
             return h, records, i
     return h, records, -1
@@ -456,10 +544,14 @@ def backward(
     ``accumulate`` is False (useful when only the input gradient matters,
     e.g. differentiating a critic w.r.t. its action input).  With
     ``want_input_grad`` False the input gradient is never formed and the
-    call returns None.
+    call returns None.  With a worker lane (see ``_lane``), the linear
+    layers' weight and bias gradients run there, in layer order, while
+    this thread carries the input gradient down; the lane is joined
+    before the call returns.
     """
     g = _check_grad(net, tape, output_grad, accumulate)
-    return _backward(net, tape, g, accumulate, want_input_grad)
+    with _lane(tape.batch * net.n_params() if accumulate else 0) as lane:
+        return _backward(net, tape, g, accumulate, want_input_grad, lane)
 
 
 def backward_both(
@@ -470,13 +562,11 @@ def backward_both(
     want_input_grad: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """``backward`` of two networks, each on its own tape and output
-    gradient, bit for bit, with the two passes on two threads (see
-    ``_both``).  When both fail, the first network's error is raised."""
-    (a, b), (ta, tb) = nets, tapes
-    ga = _check_grad(a, ta, grads[0], accumulate)
-    gb = _check_grad(b, tb, grads[1], accumulate)
-    work = min(ta.batch * a.n_params(), tb.batch * b.n_params())
-    return _both(lambda: backward(a, ta, ga, accumulate, want_input_grad), lambda: _backward(b, tb, gb, accumulate, want_input_grad), work)
+    gradient, through ``run_pair``."""
+    return run_pair(
+        backward_pass(nets[0], tapes[0], grads[0], accumulate, want_input_grad),
+        backward_pass(nets[1], tapes[1], grads[1], accumulate, want_input_grad),
+    )
 
 
 def _check_grad(net: Network, tape: Tape, output_grad: np.ndarray, accumulate: bool) -> np.ndarray:
@@ -494,7 +584,7 @@ def _check_grad(net: Network, tape: Tape, output_grad: np.ndarray, accumulate: b
     return g
 
 
-def _backward(net: Network, tape: Tape, g: np.ndarray, accumulate: bool, want_input_grad: bool) -> np.ndarray | None:
+def _backward(net: Network, tape: Tape, g: np.ndarray, accumulate: bool, want_input_grad: bool, lane: _Lane | None = None) -> np.ndarray | None:
     records, tape.records = tape.records, None  # single use: each record is freed once consumed
     own = False  # whether ``g`` is a buffer of this pass, free to overwrite
     res_gstack: list[np.ndarray] = []
@@ -503,8 +593,11 @@ def _backward(net: Network, tape: Tape, g: np.ndarray, accumulate: bool, want_in
         records[i] = None
         if spec.kind == "linear":
             if accumulate:
-                blk.gw += rec.T @ g
-                blk.gb += g.sum(axis=0)
+                # no buffer handed over here is written again by this pass
+                if lane is None:
+                    _weight_grads(blk, rec, g)
+                else:
+                    lane.submit(partial(_weight_grads, blk, rec, g))
             if i or want_input_grad:
                 g, own = g @ blk.w.T, True
         elif spec.kind == "layer_norm":
@@ -530,15 +623,24 @@ def _backward(net: Network, tape: Tape, g: np.ndarray, accumulate: bool, want_in
     return g if want_input_grad else None
 
 
+def _weight_grads(blk: ParamBlock, rec: np.ndarray, g: np.ndarray) -> None:
+    blk.gw += rec.T @ g
+    blk.gb += g.sum(axis=0)
+
+
 def _layer_norm_grad(blk: ParamBlock, xhat: np.ndarray, inv: np.ndarray, g: np.ndarray, own: bool, accumulate: bool) -> np.ndarray:
     """Input gradient of a layer norm, written into ``g`` when ``own``;
-    the parameter gradients accumulate first, while ``g`` is intact.  A
-    function of its own so its temporaries die before the next layer."""
+    the parameter gradients accumulate first, while ``g`` is intact, and
+    their ``g * xhat`` buffer is then the pass's scratch.  ``xhat`` is only
+    read.  A function of its own so its temporaries die before the next
+    layer."""
+    t = None
     if accumulate:
-        blk.gw += np.multiply(g, xhat).sum(axis=0, keepdims=True)
+        t = np.multiply(g, xhat)
+        blk.gw += t.sum(axis=0, keepdims=True)
         blk.gb += g.sum(axis=0)
     dxhat = np.multiply(g, blk.w[0], out=g if own else None)
-    t = dxhat * xhat
+    t = np.multiply(dxhat, xhat, out=t)
     m2 = _mean_rows(t)
     m1 = _mean_rows(dxhat)
     # inv * (dxhat - m1 - xhat * m2) in place, same operations in the same order

@@ -221,16 +221,14 @@ class Learner:
         B, T, _ = batch.obs.shape
         batch.obs = observe(batch.obs.reshape(B * T, STATE_DIM), self.cfg.obs_mode).reshape(B, T, -1)
 
-        res = sac.critic_loss(batch, self.ensemble, self.actor, self.hyper, rng=self.rng, eta=self.cfg.eta)
+        # critic_loss also runs the actor's taped forward over the valid online rows
+        res = sac.critic_loss(batch, self.ensemble, self.actor, self.hyper, rng=self.rng, eta=self.cfg.eta, run_actor=True)
         nn.adam_step_net(self.ensemble.q1.net, self.cfg.lr_critic)
         nn.adam_step_net(self.ensemble.q2.net, self.cfg.lr_critic)
 
-        L = batch.actions.shape[1]
-        valid = np.arange(L)[None, :] < batch.lengths[:, None]
-        obs_rows = batch.obs[:, :L, :][valid]
         ids = batch.ids
         del batch  # the gathered records are dead once the valid rows are copied out
-        aloss, log_probs = sac.actor_loss(obs_rows, self.ensemble, self.actor, self.alpha, self.hyper, rng=self.rng)
+        aloss, log_probs = sac.actor_loss(res.actor_rows, self.ensemble, self.actor, self.alpha, self.hyper, rng=self.rng, actor_pass=res.actor_pass)
         nn.adam_step_net(self.actor, self.cfg.lr_actor)
 
         tloss, tgrad = sac.temperature_loss(log_probs, self.log_alpha.value, self.cfg.target_entropy)

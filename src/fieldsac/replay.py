@@ -213,7 +213,16 @@ class SumTree:
 
     def set_many(self, idxs, values) -> None:
         """Leaves ``idxs`` to ``values`` (the last value wins for a repeated
-        index), then every changed ancestor, level by level up to the root."""
+        index), then every changed ancestor, level by level up to the root.
+        One leaf walks up with scalar reads and writes: per level that is
+        the same sum as the array path, at a fraction of its call cost."""
+        if len(idxs) == 1:
+            tree, node = self.tree, int(idxs[0]) + self.leaf_base
+            tree[node] = values[0]
+            while node > 1:
+                node >>= 1
+                tree[node] = tree.item(2 * node) + tree.item(2 * node + 1)
+            return
         pos = np.asarray(idxs, dtype=np.int64) + self.leaf_base
         self.tree[pos] = values
         nodes = np.unique(pos)

@@ -13,11 +13,27 @@ bonus is already a reward coordinate.
 
 The loss functions accumulate parameter gradients into the networks they
 train as a side effect and return the loss values; the caller applies
-the Adam steps.  Each twin pair (targets, online critics) runs through
-``nn.forward_both``/``nn.backward_both``, which put the second pass on a
-short-lived worker thread; the results are the same bits as two
-sequential calls.  Callers must not run two training steps on the same
+the Adam steps.  Callers must not run two training steps on the same
 networks at once.
+
+Two lanes: paired passes run through ``nn.run_pair`` (a twin pair
+through ``nn.forward_both``/``nn.backward_both``), which puts the second
+pass on a short-lived worker thread; the results are the same bits as
+sequential calls.  ``critic_loss`` staggers its passes so that each lane
+has work (calling thread || worker):
+
+1. the actor's bootstrap forward || online q1's taped forward;
+2. the target pair, on the bootstrap actions;
+3. q1's backward || q2's taped forward;
+4. q2's backward || the actor's taped forward over the valid online
+   rows (with ``run_actor``), which ``actor_loss`` then takes as
+   ``actor_pass``.
+
+``actor_loss`` runs the critic pair on its actions, forward then
+backward, and the actor's lone backward, whose weight gradients ``nn``
+computes on the worker.  Only ``nn``-private code runs on the worker,
+never a ``policy`` or ``sac`` function, and the random draws keep their
+order, so a learner step is bit-identical to running every pass in turn.
 """
 
 from __future__ import annotations
@@ -214,6 +230,8 @@ class CriticLossResult:
     td_magnitudes: np.ndarray  # (B, L), zero at padded positions
     segment_priorities: np.ndarray  # (B,)
     targets: np.ndarray = field(repr=False, default=None)  # (B, L, n_terms)
+    actor_rows: np.ndarray | None = field(repr=False, default=None)  # (valid positions, obs_dim), see critic_loss
+    actor_pass: tuple[np.ndarray, nn.Tape] | None = field(repr=False, default=None)  # see critic_loss
 
 
 def critic_loss(
@@ -224,6 +242,7 @@ def critic_loss(
     rng: np.random.Generator | None = None,
     boot_noise: np.ndarray | None = None,
     eta: float = 0.9,
+    run_actor: bool = False,
 ) -> CriticLossResult:
     """Half squared error per twin critic and reward coordinate.
 
@@ -232,52 +251,72 @@ def critic_loss(
     |weighted-sum| TD magnitude per step and the mixed segment
     priorities for repriorization.  Gradients accumulate into the online
     critics only.
+
+    With ``run_actor``, the result's ``actor_rows`` are the observations
+    at the batch's valid positions and ``actor_pass`` is the actor's
+    taped forward over them, run in the second lane beside q2's backward,
+    for ``actor_loss``.  The rows are gathered just before that pair: in
+    a full-scale stage, gathering them before the loss raised the peak
+    RSS by about 5 MB.  The passes are staggered over two lanes (see the
+    module docstring), so q1's gradients have accumulated by the time a
+    non-finite loss is raised.
     """
     B, L, act_dim = batch.actions.shape
     obs_dim = batch.obs.shape[2]
     n = hyper.n_step
     if batch.obs.shape[1] != L + n:
         raise ContractViolation(f"batch tail ({batch.obs.shape[1] - L}) does not match n_step {n}")
-
-    boot_q = _bootstrap_q(batch.obs[:, n : n + L].reshape(B * L, obs_dim), ensemble, actor_net, rng, boot_noise)
-    y = n_step_targets(batch.rewards, batch.dones, boot_q.reshape(B, L, -1), hyper)
+    q1_net, q2_net = ensemble.q1.net, ensemble.q2.net
 
     online_in = np.concatenate([batch.obs[:, :L].reshape(B * L, obs_dim), batch.actions.reshape(B * L, act_dim)], axis=1)
-    online = (ensemble.q1.net, ensemble.q2.net)
-    (q1, tape1), (q2, tape2) = nn.forward_both(online, online_in)
-    d1 = q1.reshape(B, L, -1) - y
-    d2 = q2.reshape(B, L, -1) - y
+    boot_obs = batch.obs[:, n : n + L].reshape(B * L, obs_dim)
+    (boot_out, _), (q1, tape1) = nn.run_pair(nn.forward_pass(actor_net, boot_obs, False), nn.forward_pass(q1_net, online_in))
+    boot_q = _bootstrap_q(boot_obs, boot_out, ensemble, rng, boot_noise)
+    y = n_step_targets(batch.rewards, batch.dones, boot_q.reshape(B, L, -1), hyper)
 
-    valid = (np.arange(L)[None, :] < batch.lengths[:, None]).astype(np.float64)
+    valid_bool = np.arange(L)[None, :] < batch.lengths[:, None]
+    valid = valid_bool.astype(np.float64)
     n_valid = valid.sum()
     w_bt = batch.weights[:, None] * valid  # (B, L)
+    scale = (w_bt / n_valid)[:, :, None]
+
+    d1 = q1.reshape(B, L, -1) - y
+    q1_back = nn.backward_pass(q1_net, tape1, (d1 * scale).reshape(B * L, -1), want_input_grad=False)
+    _, (q2, tape2) = nn.run_pair(q1_back, nn.forward_pass(q2_net, online_in))
+    del online_in  # q2's tape holds it until its backward is done with it
+    d2 = q2.reshape(B, L, -1) - y
 
     loss = float(0.5 * ((d1 * d1 + d2 * d2) * w_bt[:, :, None]).sum() / n_valid)
     if not np.isfinite(loss):
         raise NumericFault(f"non-finite critic loss; offending batch ids {batch.ids}")
 
-    scale = (w_bt / n_valid)[:, :, None]
-    grads = ((d1 * scale).reshape(B * L, -1), (d2 * scale).reshape(B * L, -1))
-    nn.backward_both(online, (tape1, tape2), grads, want_input_grad=False)
+    g2 = (d2 * scale).reshape(B * L, -1)
+    actor_rows = actor_pass = None
+    if run_actor:
+        actor_rows = batch.obs[:, :L][valid_bool]
+        q2_back = nn.backward_pass(q2_net, tape2, g2, want_input_grad=False)
+        _, actor_pass = nn.run_pair(q2_back, nn.forward_pass(actor_net, actor_rows))
+    else:
+        nn.backward(q2_net, tape2, g2, want_input_grad=False)
 
     td = np.abs(((d1 + d2) * 0.5) @ hyper.weights) * valid
     prios = np.array(
         [segment_priority(td[b, : batch.lengths[b]], eta) for b in range(B)]
     )
-    return CriticLossResult(loss, td, prios, y)
+    return CriticLossResult(loss, td, prios, y, actor_rows, actor_pass)
 
 
 def _bootstrap_q(
     boot_obs: np.ndarray,
+    boot_out: np.ndarray,
     ensemble: CriticEnsemble,
-    actor_net: nn.Network,
     rng: np.random.Generator | None,
     boot_noise: np.ndarray | None,
 ) -> np.ndarray:
-    """min(Q1', Q2')(s, a*) with a* ~ pi(. | s) from the current policy, one
-    row per row of ``boot_obs``; its temporaries die on return."""
-    out, _ = nn.forward(actor_net, boot_obs, want_tape=False)
-    head, _ = policy.head_from_output(out)
+    """min(Q1', Q2')(s, a*) with a* ~ pi(. | s) drawn from the actor's
+    output ``boot_out`` on ``boot_obs``, one row per row; its temporaries
+    die on return."""
+    head, _ = policy.head_from_output(boot_out)
     if boot_noise is None:
         if rng is None:
             raise ConfigError("critic_loss needs an rng or explicit bootstrap noise")
@@ -296,17 +335,25 @@ def actor_loss(
     hyper: SacHyper,
     rng: np.random.Generator | None = None,
     noise: np.ndarray | None = None,
+    actor_pass: tuple[np.ndarray, nn.Tape] | None = None,
 ) -> tuple[float, np.ndarray]:
     """mean( alpha * log pi(a|s) - sum_i w_i min(Q1_i, Q2_i)(s, a) ).
 
     Actions are reparameterized draws from the current policy; the
     gradient flows through them into both terms and accumulates into the
     actor network only.  Returns the loss and the per-row log
-    probabilities (for temperature tuning).
+    probabilities (for temperature tuning).  ``actor_pass`` is the
+    actor's taped forward over ``obs_rows`` when the caller already ran
+    it (``CriticLossResult.actor_pass``); without it the forward runs
+    here.
     """
     obs_rows = np.asarray(obs_rows, dtype=np.float64)
     M = obs_rows.shape[0]
-    out, tape_a = nn.forward(actor_net, obs_rows)
+    if actor_pass is None:
+        actor_pass = nn.forward(actor_net, obs_rows)
+    out, tape_a = actor_pass
+    if tape_a is None or tape_a.net is not actor_net or tape_a.batch != M:
+        raise ContractViolation(f"actor_pass is not a tape of the actor over the {M} rows")
     head, clamp_mask = policy.head_from_output(out)
     if noise is None:
         if rng is None:

@@ -3,6 +3,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fieldsac import distill, nn, sac
 from fieldsac.errors import ConfigError, ContractViolation, NumericFault
@@ -886,3 +888,239 @@ class TestSerialization:
             f.write(blob[:-16])
         with pytest.raises(ConfigError):
             nn.load_network(prefix)
+
+
+# ---------------------------------------------------------------------------
+# In-place passes against an out-of-place reference
+
+
+def _ref_run(net, x, want_tape):
+    """The forward loop with every layer writing a fresh buffer, recording
+    what ``nn.forward`` records."""
+    keep_inputs = want_tape != "input_grad"
+    h, records, skips = x, [], []
+    for i, (spec, blk) in enumerate(zip(net.specs, net.blocks)):
+        if spec.kind == "linear":
+            if want_tape:
+                records.append(h if keep_inputs else None)
+            h = h @ blk.w + blk.b
+        elif spec.kind == "layer_norm":
+            xhat = h - h.mean(axis=1, keepdims=True)
+            inv = (1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / h.shape[1] + nn.LN_EPS))[:, None]
+            xhat = xhat * inv
+            if want_tape:
+                records.append((xhat, inv))
+            h = xhat * blk.w[0] + blk.b
+        elif spec.kind == "elu":
+            if want_tape:
+                records.append(None if i and net.specs[i - 1].kind == "layer_norm" else h)
+            h = np.maximum(np.expm1(np.minimum(h, 0.0)), h)
+        elif spec.kind == "relu":
+            if want_tape:
+                records.append(h > 0.0)
+            h = np.maximum(h, 0.0)
+        elif spec.kind == "residual_begin":
+            skips.append(h)
+            if want_tape:
+                records.append(None)
+        else:
+            h = h + skips.pop()
+            if want_tape:
+                records.append(None)
+    return h, records
+
+
+def _ref_backward(net, records, g, accumulate, want_input_grad):
+    """The backward loop with every layer writing a fresh buffer; reads the
+    records without freeing them."""
+    skips = []
+    for i in range(len(net.specs) - 1, -1, -1):
+        kind, blk, rec = net.specs[i].kind, net.blocks[i], records[i]
+        if kind == "linear":
+            if accumulate:
+                blk.gw += rec.T @ g
+                blk.gb += g.sum(axis=0)
+            if i or want_input_grad:
+                g = g @ blk.w.T
+        elif kind == "layer_norm":
+            xhat, inv = rec
+            if accumulate:
+                blk.gw += (g * xhat).sum(axis=0, keepdims=True)
+                blk.gb += g.sum(axis=0)
+            dxhat = g * blk.w[0]
+            m2 = (dxhat * xhat).mean(axis=1, keepdims=True)
+            m1 = dxhat.mean(axis=1, keepdims=True)
+            g = (dxhat - m1 - xhat * m2) * inv
+        elif kind == "elu":
+            if rec is None:
+                rec = records[i - 1][0] * net.blocks[i - 1].w[0] + net.blocks[i - 1].b
+            g = np.exp(np.minimum(rec, 0.0)) * g
+        elif kind == "relu":
+            g = g * rec
+        elif kind == "residual_begin":
+            g = g + skips.pop()
+        else:
+            skips.append(g)
+    return g if want_input_grad else None
+
+
+def _same_records(a, b):
+    if len(a) != len(b):
+        return False
+    for ra, rb in zip(a, b):
+        if isinstance(rb, tuple):
+            if not (isinstance(ra, tuple) and all(_same_bits(u, v) for u, v in zip(ra, rb))):
+                return False
+        elif rb is None:
+            if ra is not None:
+                return False
+        elif not (ra is not None and ra.dtype == rb.dtype and _same_bits(ra, rb)):
+            return False
+    return True
+
+
+@st.composite
+def _layer_kinds(draw, depth=0):
+    """A random layer stack at one width: linear, layer norm, both
+    activations and residual spans (possibly empty, nested two deep)."""
+    kinds: list = []
+    for _ in range(draw(st.integers(0 if depth else 1, 4))):
+        kind = draw(st.sampled_from(["linear", "layer_norm", "elu", "relu", "span"] if depth < 2 else ["linear", "layer_norm", "elu", "relu"]))
+        kinds += ["residual_begin", *draw(_layer_kinds(depth + 1)), "residual_end"] if kind == "span" else [kind]
+    return kinds
+
+
+class TestInPlacePasses:
+    """Passes that write into buffers they own must give the bits of
+    passes that write fresh buffers: outputs, tape records, input and
+    parameter gradients.  The caller's ``x`` and output gradient keep
+    their bytes; so does every residual skip, which is ``x`` for a span
+    at layer 0 and a tape record (compared after the whole forward) for a
+    span that opens with a linear layer or an ELU."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        kinds=_layer_kinds(),
+        seed=st.integers(0, 2**32 - 1),
+        want_tape=st.sampled_from([True, "input_grad", False]),
+        accumulate=st.booleans(),
+        want_input_grad=st.booleans(),
+    )
+    @example(["layer_norm", "elu", "residual_begin", "elu", "linear", "relu", "residual_end", "linear"], 1, True, True, True)
+    @example(["residual_begin", "relu", "residual_end", "layer_norm", "relu"], 2, True, True, True)
+    @example(["linear", "residual_begin", "linear", "layer_norm", "elu", "residual_end", "residual_begin", "residual_end"], 3, "input_grad", False, True)
+    @example(["relu", "layer_norm", "residual_begin", "residual_begin", "relu", "residual_end", "layer_norm", "residual_end"], 4, False, False, False)
+    def test_same_bits_as_out_of_place(self, kinds, seed, want_tape, accumulate, want_input_grad):
+        rng = np.random.default_rng(seed)
+        width, rows = 5, 7
+        specs = [nn.LayerSpec(k, width, width) for k in kinds]
+        net = nn.Network(specs, nn.arena_blocks(specs))
+        net.arena.params[:] = rng.standard_normal(net.n_params()) * 0.5
+        net.arena.grads[:] = rng.standard_normal(net.n_params())
+        ref = net.copy()
+        x, g = rng.standard_normal((rows, width)) * 3.0, rng.standard_normal((rows, width))
+        x_before, g_before = x.copy(), g.copy()
+
+        y, tape = nn.forward(net, x, want_tape)
+        ry, records = _ref_run(ref, x, want_tape)
+        assert _same_bits(y, ry)
+        if not want_tape:
+            assert tape is None and _same_bits(x, x_before)
+            return
+        assert _same_records(tape.records, records)
+        norms = [r for r in tape.records if isinstance(r, tuple)]
+        accumulate = accumulate and want_tape is True
+        gin = nn.backward(net, tape, g, accumulate, want_input_grad)
+        ref_gin = _ref_backward(ref, records, g, accumulate, want_input_grad)
+        assert _same_bits(gin, ref_gin) if want_input_grad else gin is None
+        assert _same_bits(net.arena.grads, ref.arena.grads)
+        assert _same_bits(x, x_before) and _same_bits(g, g_before)
+        # backward only reads the layer norms' records
+        assert _same_records(norms, [r for r in records if isinstance(r, tuple)])
+
+
+# ---------------------------------------------------------------------------
+# The worker lane
+
+
+@pytest.fixture
+def lane_thread(monkeypatch):
+    """Records the thread of every private pass body and weight-gradient job."""
+    seen = []
+    for name in ("_forward", "_backward", "_weight_grads"):
+        real = getattr(nn, name)
+
+        def recording(*args, _real=real, _name=name, **kw):
+            seen.append((_name, threading.get_ident(), threading.active_count()))
+            return _real(*args, **kw)
+
+        monkeypatch.setattr(nn, name, recording)
+    return seen
+
+
+class TestWorkerLane:
+    @pytest.mark.parametrize("gate", [0, 1 << 62])
+    def test_offloaded_weight_gradients_equal_inline(self, gate, monkeypatch, lane_thread):
+        rng = np.random.default_rng(80)
+        net = _elu_stack(rng)
+        net.arena.params[:] = rng.standard_normal(net.n_params()) * 0.5
+        ref = net.copy()
+        x, g = rng.standard_normal((30, 8)), rng.standard_normal((30, 3))
+        _, tape = nn.forward(ref, x)
+        monkeypatch.setattr(nn, "_BOTH_MIN_WORK", 1 << 62)
+        inline = nn.backward(ref, tape, g)
+        _, tape = nn.forward(net, x)
+        monkeypatch.setattr(nn, "_BOTH_MIN_WORK", gate)
+        lane_thread.clear()
+        before = threading.active_count()
+        assert _same_bits(nn.backward(net, tape, g), inline)
+        assert _same_bits(net.arena.grads, ref.arena.grads) and net.arena.grads.any()
+        assert threading.active_count() == before
+        me = threading.get_ident()
+        jobs = [(t, n) for name, t, n in lane_thread if name == "_weight_grads"]
+        assert len(jobs) == sum(s.kind == "linear" for s in net.specs)
+        assert all((t != me) == (gate == 0) and n <= before + 1 for t, n in jobs)
+
+    def test_pair_first_keeps_its_weight_gradients(self, monkeypatch, lane_thread):
+        # a backward run inside a pair finds the lane open: no third thread
+        monkeypatch.setattr(nn, "_BOTH_MIN_WORK", 0)
+        a, b, rng = _twin_nets(81)
+        x = rng.standard_normal((4, 5))
+        (_, ta), (_, tb) = nn.forward_both((a, b), x)
+        lane_thread.clear()
+        before = threading.active_count()
+        nn.backward_both((a, b), (ta, tb), (np.ones((4, 3)), np.ones((4, 3))))
+        assert len({t for _, t, _ in lane_thread}) == 2
+        assert all(n <= before + 1 for _, _, n in lane_thread)
+
+    def test_mixed_pair_same_bits_as_single_calls(self, twin_gate):
+        a, b, rng = _twin_nets(82)
+        ra, rb = a.copy(), b.copy()
+        x, g = rng.standard_normal((6, 5)), rng.standard_normal((6, 3))
+        _, ta = nn.forward(a, x)
+        _, sa = nn.forward(ra, x)
+        gin, (yb, tb) = nn.run_pair(nn.backward_pass(a, ta, g), nn.forward_pass(b, x))
+        assert _same_bits(gin, nn.backward(ra, sa, g)) and _same_bits(a.arena.grads, ra.arena.grads)
+        zb, sb = nn.forward(rb, x)
+        assert _same_bits(yb, zb) and _same_records(tb.records, sb.records)
+
+    @pytest.mark.parametrize("where", ["pair", "weight_grads"])
+    def test_worker_error_reaches_the_caller(self, where, monkeypatch):
+        monkeypatch.setattr(nn, "_BOTH_MIN_WORK", 0)
+        a, b, rng = _twin_nets(83)
+        x = rng.standard_normal((4, 5))
+        before = threading.active_count()
+        if where == "pair":
+            b.blocks[-1].b[0] = np.nan
+            with pytest.raises(NumericFault, match="non-finite output"):
+                nn.run_pair(nn.forward_pass(a, x), nn.forward_pass(b, x))
+        else:
+            def failing(*args):
+                raise RuntimeError("synthetic job failure")
+
+            _, tape = nn.forward(a, x)
+            monkeypatch.setattr(nn, "_weight_grads", failing)
+            with pytest.raises(RuntimeError, match="synthetic job failure"):
+                nn.backward(a, tape, np.ones((4, 3)))
+        assert threading.active_count() == before
+        assert not nn._LANE_OPEN.locked()

@@ -180,6 +180,66 @@ class TestLearnerThrottle:
         assert results[0] == results[1]
 
 
+class TestLearnerLanes:
+    """``Learner.step`` on two lanes (``_BOTH_MIN_WORK`` 0) or one (huge)."""
+
+    @staticmethod
+    def _three_steps(gate, monkeypatch):
+        monkeypatch.setattr(nn, "_BOTH_MIN_WORK", gate)
+        cfg = tiny_cfg(num_samplers=1)
+        store, hub, learner, samplers = fresh_setup(cfg, seed=4)
+        while len(store) < cfg.batch:
+            samplers[0].tick()
+        losses = []
+        for _ in range(3):
+            learner.step()
+            losses.append((learner.last_critic_loss, learner.last_actor_loss, learner.last_alpha_loss))
+        ens = learner.ensemble
+        nets = (learner.actor, ens.q1.net, ens.q2.net, ens.q1_target.net, ens.q2_target.net)
+        arrays = [getattr(n.arena, v) for n in nets for v in ("params", "grads", "m", "v")]
+        arrays += [store._raw_p, store._tree.tree]
+        la = learner.log_alpha
+        return losses, (la.value, la.m, la.v, la.t), [a.tobytes() for a in arrays]
+
+    def test_three_steps_same_bytes_on_one_or_two_lanes(self, monkeypatch):
+        two = self._three_steps(0, monkeypatch)
+        one = self._three_steps(1 << 62, monkeypatch)
+        assert two == one
+
+    def test_worker_runs_only_nn_private_code(self, monkeypatch):
+        import threading
+
+        from fieldsac import policy
+
+        monkeypatch.setattr(nn, "_BOTH_MIN_WORK", 0)
+        cfg = tiny_cfg(num_samplers=1)
+        store, hub, learner, samplers = fresh_setup(cfg, seed=5)
+        while len(store) < cfg.batch:
+            samplers[0].tick()
+        calls = []
+        public = [(sac, n) for n in ("critic_loss", "actor_loss", "n_step_targets", "temperature_loss", "_bootstrap_q")]
+        public += [(policy, n) for n in ("head_from_output", "sample", "sample_grads")]
+        public += [(nn, n) for n in ("forward", "backward", "adam_step_net", "soft_update_net")]
+        private = [(nn, n) for n in ("_forward", "_backward", "_weight_grads")]
+        for mod, name in public + private:
+            real = getattr(mod, name)
+
+            def recording(*args, _real=real, _name=f"{mod.__name__}.{name}", **kw):
+                calls.append((_name, threading.get_ident(), threading.active_count()))
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(mod, name, recording)
+        before = threading.active_count()
+        learner.step()
+        assert threading.active_count() == before
+        me = threading.get_ident()
+        on_worker = {name for name, t, _ in calls if t != me}
+        assert on_worker and on_worker <= {"fieldsac.nn._forward", "fieldsac.nn._backward", "fieldsac.nn._weight_grads"}
+        assert all(n <= before + 1 for _, _, n in calls)
+        names = [name for name, _, _ in calls]
+        assert names.count("fieldsac.sac.critic_loss") == names.count("fieldsac.sac.actor_loss") == 1
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         cfg = tiny_cfg()

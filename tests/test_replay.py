@@ -213,6 +213,21 @@ class TestSumTree:
             rebuilt.rebuild(tree.leaves(np.arange(n)))
             assert rebuilt.tree.tobytes() == tree.tree.tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        updates=st.lists(st.tuples(st.integers(0, 10**6), st.floats(0.0, 1e6, allow_nan=False)), min_size=1, max_size=60),
+    )
+    def test_one_leaf_walk_equals_array_path_and_rebuild(self, n, updates):
+        walked, arrayed = SumTree(n), SumTree(n)
+        for k, v in updates:
+            walked.set_many([k % n], [v])  # one leaf: the scalar walk
+            arrayed.set_many([k % n, k % n], [v, v])  # a repeated index takes the array path
+            assert walked.tree.tobytes() == arrayed.tree.tobytes()
+        rebuilt = SumTree(n)
+        rebuilt.rebuild(walked.leaves(np.arange(n)))
+        assert rebuilt.tree.tobytes() == walked.tree.tobytes()
+
     def test_find_prefix_matches_linear_scan(self):
         rng = np.random.default_rng(2)
         n = 17

@@ -451,6 +451,59 @@ class TestTwinThreads:
         assert threaded[2][4].any() and threaded[2][5].any()  # the actor and q1 gradients are live
 
 
+class TestStaggeredLanes:
+    """With ``run_actor``, ``critic_loss`` runs the actor's taped forward
+    over the valid online rows in its second lane and ``actor_loss`` takes
+    it as ``actor_pass``; either way every output is the same bits,
+    threaded or not."""
+
+    @staticmethod
+    def _setup(seed=61):
+        rng = np.random.default_rng(seed)
+        ens, actor = tiny_ensemble(rng, 3, 2), tiny_actor(rng, 3, 2)
+        batch = tiny_batch(rng, full=False)
+        valid = np.arange(4)[None, :] < batch.lengths[:, None]
+        return ens, actor, batch, batch.obs[:, :4][valid]
+
+    @pytest.mark.parametrize("gate", [0, 1 << 62])
+    def test_run_actor_gives_the_forward_and_changes_nothing_else(self, gate, monkeypatch):
+        monkeypatch.setattr(nn, "_BOTH_MIN_WORK", gate)
+        ens, actor, batch, rows = self._setup()
+        ens_ref = sac.CriticEnsemble(ens.q1.copy(), ens.q2.copy(), ens.q1_target.copy(), ens.q2_target.copy())
+        res = sac.critic_loss(batch, ens, actor, hyper(n_step=2), rng=np.random.default_rng(1), run_actor=True)
+        ref = sac.critic_loss(batch, ens_ref, actor, hyper(n_step=2), rng=np.random.default_rng(1))
+        assert ref.actor_pass is None and ref.actor_rows is None and res.loss == ref.loss
+        assert res.actor_rows.tobytes() == rows.tobytes() and res.actor_rows.shape == rows.shape
+        for a, b in ((res.td_magnitudes, ref.td_magnitudes), (res.segment_priorities, ref.segment_priorities), (res.targets, ref.targets)):
+            assert a.tobytes() == b.tobytes()
+        for c, r in ((ens.q1, ens_ref.q1), (ens.q2, ens_ref.q2)):
+            assert c.net.arena.grads.tobytes() == r.net.arena.grads.tobytes()
+        out, tape = res.actor_pass
+        want, want_tape = nn.forward(actor, rows)
+        assert out.tobytes() == want.tobytes() and tape.net is actor and tape.batch == rows.shape[0]
+        for a, b in zip(tape.records, want_tape.records):
+            if isinstance(b, tuple):
+                assert all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
+            else:
+                assert (a is None) == (b is None) and (b is None or a.tobytes() == b.tobytes())
+
+    @pytest.mark.parametrize("gate", [0, 1 << 62])
+    def test_actor_loss_same_bits_with_or_without_actor_pass(self, gate, monkeypatch):
+        monkeypatch.setattr(nn, "_BOTH_MIN_WORK", gate)
+        ens, actor, _, rows = self._setup(62)
+        ref = actor.copy()
+        loss, logp = sac.actor_loss(rows, ens, actor, 0.2, hyper(), rng=np.random.default_rng(3), actor_pass=nn.forward(actor, rows))
+        ref_loss, ref_logp = sac.actor_loss(rows, ens, ref, 0.2, hyper(), rng=np.random.default_rng(3))
+        assert loss == ref_loss and logp.tobytes() == ref_logp.tobytes()
+        assert actor.arena.grads.tobytes() == ref.arena.grads.tobytes() and actor.arena.grads.any()
+
+    def test_actor_pass_of_other_rows_or_network_refused(self):
+        ens, actor, _, rows = self._setup(63)
+        for net, x in ((actor, rows[:-1]), (actor.copy(), rows)):
+            with pytest.raises(ContractViolation, match="actor_pass"):
+                sac.actor_loss(rows, ens, actor, 0.2, hyper(), rng=np.random.default_rng(3), actor_pass=nn.forward(net, x))
+
+
 class TestLossPeaks:
     """At a mid-size shape (640 rows, hidden 256, 248 observation columns)
     the losses hold both critic tapes, the actor tape and the pass

@@ -16,7 +16,9 @@ incorrect.  After every pair it rewrites ``BENCH_<topic>.json`` at the
 root of this checkout: the command, the machine of the change's runs,
 every raw run and, per workload and end-to-end metric of
 ``BENCHMARK.json``, both sides' medians and quartiles and the number of
-pairs each side won (ties count for neither).
+pairs each side won (ties count for neither), and the median, minimum
+and maximum of the per-pair change/parent ratios, which read a speed
+claim as one number.
 """
 
 from __future__ import annotations
@@ -111,6 +113,7 @@ def summarize(pairs: list, end_to_end: list) -> dict:
         rel = None
         if par["median"] and chg["median"] is not None:
             rel = chg["median"] / par["median"] - 1.0
+        ratios = [b / a for a, b in both if a]
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -118,6 +121,11 @@ def summarize(pairs: list, end_to_end: list) -> dict:
             "parent": par,
             "change": chg,
             "relative_change_of_median": rel,
+            "pair_ratio": {
+                "median": statistics.median(ratios) if ratios else None,
+                "min": min(ratios, default=None),
+                "max": max(ratios, default=None),
+            },
             "change_wins": sum(sign * (b - a) > 0 for a, b in both),
             "parent_wins": sum(sign * (b - a) < 0 for a, b in both),
             "ties": sum(a == b for a, b in both),
