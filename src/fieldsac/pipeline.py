@@ -222,7 +222,7 @@ class Learner:
         batch.obs = observe(batch.obs.reshape(B * T, STATE_DIM), self.cfg.obs_mode).reshape(B, T, -1)
 
         # critic_loss also runs the actor's taped forward over the valid online rows
-        res = sac.critic_loss(batch, self.ensemble, self.actor, self.hyper, rng=self.rng, eta=self.cfg.eta, run_actor=True)
+        res = sac.critic_loss(batch, self.ensemble, self.actor, self.hyper, rng=self.rng, eta=self.cfg.eta)
         nn.adam_step_net(self.ensemble.q1.net, self.cfg.lr_critic)
         nn.adam_step_net(self.ensemble.q2.net, self.cfg.lr_critic)
 

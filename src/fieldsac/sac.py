@@ -26,8 +26,7 @@ has work (calling thread || worker):
 2. the target pair, on the bootstrap actions;
 3. q1's backward || q2's taped forward;
 4. q2's backward || the actor's taped forward over the valid online
-   rows (with ``run_actor``), which ``actor_loss`` then takes as
-   ``actor_pass``.
+   rows, which ``actor_loss`` then takes as ``actor_pass``.
 
 ``actor_loss`` runs the critic pair on its actions, forward then
 backward, and the actor's lone backward, whose weight gradients ``nn``
@@ -230,8 +229,8 @@ class CriticLossResult:
     td_magnitudes: np.ndarray  # (B, L), zero at padded positions
     segment_priorities: np.ndarray  # (B,)
     targets: np.ndarray = field(repr=False, default=None)  # (B, L, n_terms)
-    actor_rows: np.ndarray | None = field(repr=False, default=None)  # (valid positions, obs_dim), see critic_loss
-    actor_pass: tuple[np.ndarray, nn.Tape] | None = field(repr=False, default=None)  # see critic_loss
+    actor_rows: np.ndarray = field(repr=False, default=None)  # (valid positions, obs_dim), see critic_loss
+    actor_pass: tuple[np.ndarray, nn.Tape] = field(repr=False, default=None)  # see critic_loss
 
 
 def critic_loss(
@@ -242,7 +241,6 @@ def critic_loss(
     rng: np.random.Generator | None = None,
     boot_noise: np.ndarray | None = None,
     eta: float = 0.9,
-    run_actor: bool = False,
 ) -> CriticLossResult:
     """Half squared error per twin critic and reward coordinate.
 
@@ -252,14 +250,21 @@ def critic_loss(
     priorities for repriorization.  Gradients accumulate into the online
     critics only.
 
-    With ``run_actor``, the result's ``actor_rows`` are the observations
-    at the batch's valid positions and ``actor_pass`` is the actor's
-    taped forward over them, run in the second lane beside q2's backward,
-    for ``actor_loss``.  The rows are gathered just before that pair: in
-    a full-scale stage, gathering them before the loss raised the peak
-    RSS by about 5 MB.  The passes are staggered over two lanes (see the
-    module docstring), so q1's gradients have accumulated by the time a
-    non-finite loss is raised.
+    The result's ``actor_rows`` are the observations at the batch's valid
+    positions and ``actor_pass`` is the actor's taped forward over them,
+    run in the second lane beside q2's backward, for ``actor_loss``.  The
+    rows are gathered just before that pair: in a full-scale stage,
+    gathering them before the loss raised the peak RSS by about 5 MB.
+
+    Faults: the passes are staggered over two lanes (see the module
+    docstring), so a ``NumericFault`` comes out at one of three points.
+    Non-finite targets, importance weights or q1 terms of the loss are
+    raised before any backward, with every gradient untouched.  A fault
+    in q2's forward or a non-finite q2 term is raised after q1's backward
+    has accumulated its (finite) gradients; q2's stay untouched.  A fault
+    in the actor's forward over the online rows comes out here, after
+    both critics' backwards and before the caller's critic Adam steps
+    (``actor_loss`` raised it when it ran that forward itself).
     """
     B, L, act_dim = batch.actions.shape
     obs_dim = batch.obs.shape[2]
@@ -281,6 +286,8 @@ def critic_loss(
     scale = (w_bt / n_valid)[:, :, None]
 
     d1 = q1.reshape(B, L, -1) - y
+    if not np.isfinite(0.5 * ((d1 * d1) * w_bt[:, :, None]).sum() / n_valid):  # q1's half, before any backward
+        raise NumericFault(f"non-finite critic loss; offending batch ids {batch.ids}")
     q1_back = nn.backward_pass(q1_net, tape1, (d1 * scale).reshape(B * L, -1), want_input_grad=False)
     _, (q2, tape2) = nn.run_pair(q1_back, nn.forward_pass(q2_net, online_in))
     del online_in  # q2's tape holds it until its backward is done with it
@@ -290,14 +297,9 @@ def critic_loss(
     if not np.isfinite(loss):
         raise NumericFault(f"non-finite critic loss; offending batch ids {batch.ids}")
 
-    g2 = (d2 * scale).reshape(B * L, -1)
-    actor_rows = actor_pass = None
-    if run_actor:
-        actor_rows = batch.obs[:, :L][valid_bool]
-        q2_back = nn.backward_pass(q2_net, tape2, g2, want_input_grad=False)
-        _, actor_pass = nn.run_pair(q2_back, nn.forward_pass(actor_net, actor_rows))
-    else:
-        nn.backward(q2_net, tape2, g2, want_input_grad=False)
+    actor_rows = batch.obs[:, :L][valid_bool]
+    q2_back = nn.backward_pass(q2_net, tape2, (d2 * scale).reshape(B * L, -1), want_input_grad=False)
+    _, actor_pass = nn.run_pair(q2_back, nn.forward_pass(actor_net, actor_rows))
 
     td = np.abs(((d1 + d2) * 0.5) @ hyper.weights) * valid
     prios = np.array(
