@@ -20,7 +20,7 @@ def _tune_allocator() -> None:
     # 417/412/418 ms with these two calls against 416/455/429 ms without,
     # stage wall 8.0-8.3 s against 8.5-9.0 s, process peak RSS 202-203 MB
     # against 195-203 MB.
-    # One arena: the worker lane of ``nn`` (``nn._lane``) then allocates
+    # One arena: the worker thread of ``nn`` (``nn._halves``) then allocates
     # from the same heap, instead of faulting in heaps of its own that add
     # to the peak RSS.
     import ctypes

@@ -10,6 +10,7 @@ speed bonus directional.
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,15 @@ class TrainConfig:
             raise ConfigError(
                 f"capacity ({self.capacity}) is below the {self.min_segments_to_learn} segments learning waits for "
                 "(min_store_segments, or batch when that is 0), so the learner would never run"
+            )
+        # a sampler-cut replay record holds 195 + 18 * n_step floats (the
+        # record layout in ``replay``), and the store fills all ``capacity`` slots
+        replay_bytes = self.capacity * (195 + 18 * self.n_step) * 8
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if replay_bytes > memory:
+            raise ConfigError(
+                f"capacity ({self.capacity}) needs {replay_bytes / 1e9:.1f} GB of replay records at n_step "
+                f"{self.n_step}, more than this machine's {memory / 1e9:.1f} GB of physical memory"
             )
         # an episode of T steps cuts at most T // SEG_STRIDE segments, and the
         # samplers overshoot the budget by at most num_samplers - 1 steps

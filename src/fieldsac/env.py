@@ -11,9 +11,10 @@ appends the flattened 2x11x11 local field grid sampled every 0.5 m
 around the agent.  Both are pure functions of a 10-real env state row
 (position, velocity, previous action, sink, v_max, ramp), which every
 ``StepResult`` carries as ``state``.  ``observe`` turns a batch of state
-rows into either width, and the env builds its own observations with it,
-so a row rebuilt from a stored state is byte-equal to the one the env
-emitted.  Samplers store state rows in replay for that reason.
+rows into either width, and a ``StepResult`` builds its observations
+with it when they are read, so a row rebuilt from a stored state is
+byte-equal to the one the env emitted.  Samplers store state rows in
+replay for that reason.
 
 One instance is single-threaded; run one environment per sampler.
 """
@@ -150,12 +151,20 @@ class EnvState:
 
 @dataclass
 class StepResult:
-    obs_teacher: np.ndarray
-    obs_student: np.ndarray
     reward: VectorReward
     done: bool
     state: np.ndarray  # (STATE_DIM,) row that ``observe`` turns into either observation
     info: dict = field(default_factory=dict)
+
+    @property
+    def obs_teacher(self) -> np.ndarray:
+        """The (6,) teacher observation, built from ``state`` on each read."""
+        return observe(self.state[None], "teacher")[0]
+
+    @property
+    def obs_student(self) -> np.ndarray:
+        """The (248,) student observation, built from ``state`` on each read."""
+        return observe(self.state[None], "student")[0]
 
 
 def _sample_field(rng: np.random.Generator, difficulty: int, origin: np.ndarray) -> TargetField:
@@ -296,7 +305,6 @@ class PointMassEnv:
         st, fld = self.state, self.field
         v_tgt = field_at(fld, st.p)
         state = np.concatenate([st.p, st.v, st.prev_action, fld.sink, (fld.v_max, fld.ramp)])
-        obs_s = observe(state[None], "student")[0]
         info = {
             "p": st.p.copy(),
             "v": st.v.copy(),
@@ -307,7 +315,7 @@ class PointMassEnv:
             "t": st.t,
             "clamp_count": self._clamp_count,
         }
-        return StepResult(obs_s[:OBS_TEACHER_DIM].copy(), obs_s, reward, done, state, info)
+        return StepResult(reward, done, state, info)
 
     def _flush_record(self) -> None:
         if self._record_rows is not None and self.state is not None and len(self._record_rows) > 1:

@@ -38,26 +38,21 @@ reshaped view into the arena, so Adam, soft updates, gradient zeroing,
 copies and fingerprints each act on whole vectors.
 
 Two lanes: numpy releases the GIL inside BLAS and ufunc loops, so on two
-cores two passes overlap.  ``_lane`` opens the one worker lane: a thread
-that runs nn-private jobs in order and is joined before the call that
-opened it returns.  A lock allows one open lane, so at most two threads
-run passes.  Below ``_BOTH_MIN_WORK`` multiply-adds per pass the thread
-costs more than the overlap saves, and everything runs on the calling
-thread.  The lane has two users:
+cores two halves of one pass overlap.  From ``_BOTH_MIN_WORK``
+multiply-adds (rows x parameters) up, ``forward`` and ``backward`` split
+their rows at ``cut = rows // 2``: the calling thread runs rows
+``[:cut]`` and a worker thread, started for the pass and joined before
+it returns, runs the private body on rows ``[cut:]``.  One tape holds
+both halves' records.  The worker's half adds its parameter gradients
+into a spare vector laid out like the arena, which the calling thread
+adds into ``arena.grads`` once, after the join.  The halves' outputs are
+stacked, and their input gradients fill the two halves of one array.  A lock allows one
+worker at a time, so at most two threads run passes; a pass that finds
+it taken runs its second half after the first on its own thread.  The
+split depends on the shape alone, so whether the halves run on two
+threads or one after the other changes no bit.  Below the gate the pass
+runs whole on the calling thread.
 
-- ``run_pair`` runs two passes made by ``forward_pass``/``backward_pass``
-  (which check their arguments): the first through the public
-  ``forward``/``backward`` on the calling thread, the second's private
-  body on the lane.  ``forward_both``/``backward_both`` pair two
-  networks on one input or two tapes.
-- A lone accumulating ``backward`` hands each linear layer's weight and
-  bias gradient to the lane, which adds them into ``gw``/``gb`` in layer
-  order while the calling thread carries the input gradient down.  A
-  backward that is the first pass of a pair finds the lane taken and
-  keeps them on its own thread.
-
-Every pass and every gradient still runs start to end on one thread, so
-the results are bit-identical to single calls on one thread.
 ``want_tape="input_grad"`` records no linear-layer inputs, which only
 parameter gradients need; such a tape is smaller and ``backward``
 refuses to accumulate from it.
@@ -74,8 +69,6 @@ from __future__ import annotations
 
 import sys
 import threading
-from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
@@ -96,11 +89,12 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-# Multiply-adds per pass (rows x parameters) from which ``_lane`` opens a
-# worker thread.  On a 2-vCPU host ``tools/twin_crossover.py``
-# timed a critic pair on two threads at 0.90-1.21x its sequential time at
-# desk shapes (about 3e6), at 0.58-1.31x from 1e7 to 3e7, where it depends
-# on the other core being free, and at 0.55-0.87x from 3.2e7 up.
+# Multiply-adds per pass (rows x parameters) from which a pass splits its
+# rows over two threads (see the module docstring).  On a 2-vCPU host
+# ``tools/twin_crossover.py`` timed a critic pass split at 1.37-1.56x its
+# whole time at desk shapes (3.1e6), at 0.55-1.31x from 1.1e7 to 4.6e7 and
+# at 0.52-1.05x at full scale (5.1e8), lower when the other core was free
+# (four runs).
 _BOTH_MIN_WORK = 1 << 24
 
 @dataclass(frozen=True)
@@ -328,14 +322,19 @@ class Tape:
     the pass frees each record once its layer is done and leaves
     ``records`` None, so a second pass on the tape is refused.  Without
     ``keeps_inputs`` (an ``"input_grad"`` tape) the linear layers' records
-    are None; an ELU right after a layer norm records nothing either."""
+    are None; an ELU right after a layer norm records nothing either.
+    A pass split over two lanes at ``cut`` keeps the records of rows
+    ``[:cut]`` in ``records`` and those of rows ``[cut:]`` in ``tail``; an
+    unsplit pass has ``cut`` 0 and ``tail`` None."""
 
-    __slots__ = ("net", "version", "records", "batch", "keeps_inputs")
+    __slots__ = ("net", "version", "records", "tail", "cut", "batch", "keeps_inputs")
 
-    def __init__(self, net: Network, records: list, batch: int, keeps_inputs: bool):
+    def __init__(self, net: Network, records: list, tail: list | None, cut: int, batch: int, keeps_inputs: bool):
         self.net = net
         self.version = net.version
         self.records = records
+        self.tail = tail
+        self.cut = cut
         self.batch = batch
         self.keeps_inputs = keeps_inputs
 
@@ -349,129 +348,64 @@ def forward(net: Network, x: np.ndarray, want_tape: bool | str = True) -> tuple[
     accumulate=False)``.  Raises NumericFault with the layer index if any
     intermediate stops being finite.
     """
-    return _forward(net, _check_input(net, x, want_tape), want_tape)
-
-
-class Pass:
-    """One checked forward or backward pass for ``run_pair``: ``public`` is
-    the public function (run on the calling thread), ``body`` its private
-    body without the checks (run on the worker lane), ``work`` the
-    multiply-adds (rows x parameters)."""
-
-    __slots__ = ("public", "body", "args", "work")
-
-    def __init__(self, public: Callable, body: Callable, args: tuple, work: int):
-        self.public, self.body, self.args, self.work = public, body, args, work
-
-
-def forward_pass(net: Network, x: np.ndarray, want_tape: bool | str = True) -> Pass:
-    """``forward(net, x, want_tape)``, checked now, run by ``run_pair``."""
-    x = _check_input(net, x, want_tape)
-    return Pass(forward, _forward, (net, x, want_tape), x.shape[0] * net.n_params())
-
-
-def backward_pass(net: Network, tape: Tape, output_grad: np.ndarray, accumulate: bool = True, want_input_grad: bool = True) -> Pass:
-    """``backward(net, tape, output_grad, ...)``, checked now, run by ``run_pair``."""
-    g = _check_grad(net, tape, output_grad, accumulate)
-    return Pass(backward, _backward, (net, tape, g, accumulate, want_input_grad), tape.batch * net.n_params())
-
-
-def run_pair(first: Pass, second: Pass) -> tuple:
-    """The results of two passes, the same bits as two single calls:
-    ``first`` through its public function on the calling thread, and
-    ``second``'s body on the worker lane (see ``_lane``) or, without one,
-    after ``first`` on the calling thread.  When both fail, ``first``'s
-    error is raised."""
-    with _lane(min(first.work, second.work)) as lane:
-        if lane is None:
-            return first.public(*first.args), second.body(*second.args)
-        lane.submit(partial(second.body, *second.args))
-        out = first.public(*first.args)
-    return out, lane.results[0]
-
-
-def forward_both(nets: tuple[Network, Network], x: np.ndarray, want_tape: bool | str = True):
-    """``(forward(nets[0], x, want_tape), forward(nets[1], x, want_tape))``
-    through ``run_pair``."""
-    a, b = nets
-    return run_pair(forward_pass(a, x, want_tape), forward_pass(b, x, want_tape))
-
-
-def _check_input(net: Network, x: np.ndarray, want_tape: bool | str) -> np.ndarray:
     if want_tape not in (True, False, "input_grad"):
         raise ConfigError(f"want_tape must be True, False or 'input_grad', got {want_tape!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.in_dim:
         raise ConfigError(f"input of shape {x.shape} does not match in_dim {net.in_dim}")
-    return x
-
-
-def _forward(net: Network, x: np.ndarray, want_tape: bool | str) -> tuple[np.ndarray, Tape | None]:
-    h, records, bad = _run(net, x, want_tape, net.finite_scans)
-    if bad >= 0:
+    rows = x.shape[0]
+    cut = rows // 2 if rows * net.n_params() >= _BOTH_MIN_WORK else 0
+    halves = _halves(cut, rows, lambda k, part: _run(net, x[part], want_tape, net.finite_scans))
+    if any(bad >= 0 for _, _, bad in halves):
         # The trimmed scans only show that some layer up to ``bad`` failed;
-        # checking every layer names the first one.
+        # checking every layer of the whole batch names the first one.
         bad = _run(net, x, False, (True,) * len(net.specs))[2]
         raise NumericFault(f"non-finite output at layer {bad} ({net.specs[bad].kind})")
+    h = halves[0][0] if len(halves) == 1 else np.concatenate([halves[0][0], halves[1][0]])
     if not want_tape:
         return h, None
-    return h, Tape(net, records, x.shape[0], want_tape != "input_grad")
+    tail = halves[1][1] if cut else None
+    return h, Tape(net, halves[0][1], tail, cut, rows, want_tape != "input_grad")
 
 
-class _Lane:
-    """A worker thread that runs the jobs handed to ``submit`` in order and
-    keeps their results; after a failed job it only drains the queue."""
-
-    def __init__(self):
-        self.results: list = []
-        self.error: BaseException | None = None
-        self._jobs: deque = deque()
-        self._queued = threading.Semaphore(0)
-        self._thread = threading.Thread(target=self._work)
-        self._thread.start()
-
-    def submit(self, job: Callable | None) -> None:
-        self._jobs.append(job)
-        self._queued.release()
-
-    def _work(self) -> None:
-        while self._queued.acquire() and (job := self._jobs.popleft()) is not None:
-            if self.error is None:
-                try:
-                    self.results.append(job())
-                except BaseException as e:  # re-raised on the calling thread
-                    self.error = e
-
-    def join(self) -> None:
-        self.submit(None)  # the worker stops here
-        self._thread.join()
-
-
-# Held while a worker lane is open, so at most two threads run passes.
+# Held while a worker thread runs half a pass, so at most two threads run passes.
 _LANE_OPEN = threading.Lock()
 
 
-@contextmanager
-def _lane(work: int):
-    """A worker lane for a pass of ``work`` multiply-adds, or None below
-    ``_BOTH_MIN_WORK`` or while another lane is open (a pass run inside a
-    pair then keeps everything on its own thread).  The worker is joined
-    on exit and its error raised there, unless the body raised first.
-    Jobs must call only nn-private code: a profiler that wraps the public
-    functions keeps one span stack for the process."""
-    if work < _BOTH_MIN_WORK or not _LANE_OPEN.acquire(blocking=False):
-        yield None
-        return
+def _halves(cut: int, rows: int, job: Callable[[int, slice], object]) -> list:
+    """``[job(0, rows [:cut]), job(1, rows [cut:])]``, the second on a
+    worker thread while the first runs here (after it when another pass
+    holds the worker), or ``[job(0, all rows)]`` when ``cut`` is 0.  The
+    worker is joined before this returns; its error is raised here,
+    unless the first half raised first.  Jobs call only nn-private code: a
+    profiler that wraps the public functions keeps one span stack for the
+    process."""
+    if not cut:
+        return [job(0, slice(0, rows))]
+    first, second = partial(job, 0, slice(0, cut)), partial(job, 1, slice(cut, rows))
+    if not _LANE_OPEN.acquire(blocking=False):
+        return [first(), second()]
     try:
-        lane = _Lane()
+        box: list = []
+        worker = threading.Thread(target=_catch, args=(second, box))
+        worker.start()
         try:
-            yield lane
+            out = first()
         finally:
-            lane.join()
-        if lane.error is not None:
-            raise lane.error
+            worker.join()
     finally:
         _LANE_OPEN.release()
+    result, error = box[0]
+    if error is not None:
+        raise error
+    return [out, result]
+
+
+def _catch(job: Callable, box: list) -> None:
+    try:
+        box.append((job(), None))
+    except BaseException as e:  # re-raised on the calling thread
+        box.append((None, e))
 
 
 def _mean_rows(a: np.ndarray) -> np.ndarray:
@@ -544,32 +478,9 @@ def backward(
     ``accumulate`` is False (useful when only the input gradient matters,
     e.g. differentiating a critic w.r.t. its action input).  With
     ``want_input_grad`` False the input gradient is never formed and the
-    call returns None.  With a worker lane (see ``_lane``), the linear
-    layers' weight and bias gradients run there, in layer order, while
-    this thread carries the input gradient down; the lane is joined
-    before the call returns.
+    call returns None.  A tape of a split pass is replayed in the same two
+    halves (see the module docstring).
     """
-    g = _check_grad(net, tape, output_grad, accumulate)
-    with _lane(tape.batch * net.n_params() if accumulate else 0) as lane:
-        return _backward(net, tape, g, accumulate, want_input_grad, lane)
-
-
-def backward_both(
-    nets: tuple[Network, Network],
-    tapes: tuple[Tape, Tape],
-    grads: tuple[np.ndarray, np.ndarray],
-    accumulate: bool = True,
-    want_input_grad: bool = True,
-) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """``backward`` of two networks, each on its own tape and output
-    gradient, through ``run_pair``."""
-    return run_pair(
-        backward_pass(nets[0], tapes[0], grads[0], accumulate, want_input_grad),
-        backward_pass(nets[1], tapes[1], grads[1], accumulate, want_input_grad),
-    )
-
-
-def _check_grad(net: Network, tape: Tape, output_grad: np.ndarray, accumulate: bool) -> np.ndarray:
     if tape.net is not net:
         raise ContractViolation("tape belongs to a different network")
     if tape.version != net.version:
@@ -581,27 +492,41 @@ def _check_grad(net: Network, tape: Tape, output_grad: np.ndarray, accumulate: b
     g = np.asarray(output_grad, dtype=np.float64)
     if g.shape != (tape.batch, net.out_dim):
         raise ConfigError(f"output_grad shape {g.shape} does not match ({tape.batch}, {net.out_dim})")
-    return g
+    gin = np.empty((tape.batch, net.in_dim)) if want_input_grad else None
+    cut, halves = tape.cut, [tape.records, tape.tail]
+    tape.records = tape.tail = None  # single use
+    grads = [net.arena.grads, np.zeros(net.n_params()) if cut else None] if accumulate else [None, None]
+
+    def half(k: int, rows: slice) -> None:
+        _backward(net, halves[k], g[rows], grads[k], None if gin is None else gin[rows])
+
+    _halves(cut, tape.batch, half)
+    if grads[1] is not None:
+        net.arena.grads += grads[1]
+    return gin
 
 
-def _backward(net: Network, tape: Tape, g: np.ndarray, accumulate: bool, want_input_grad: bool, lane: _Lane | None = None) -> np.ndarray | None:
-    records, tape.records = tape.records, None  # single use: each record is freed once consumed
+def _backward(net: Network, records: list, g: np.ndarray, grads: np.ndarray | None, out: np.ndarray | None) -> None:
+    """One backward over the per-layer ``records``, freeing each as it goes.
+    Parameter gradients accumulate into ``grads``, a flat vector laid out
+    like the arena, unless it is None; the input gradient is written into
+    ``out`` unless it is None."""
     own = False  # whether ``g`` is a buffer of this pass, free to overwrite
     res_gstack: list[np.ndarray] = []
     for i in range(len(net.specs) - 1, -1, -1):
         spec, blk, rec = net.specs[i], net.blocks[i], records[i]
         records[i] = None
         if spec.kind == "linear":
-            if accumulate:
-                # no buffer handed over here is written again by this pass
-                if lane is None:
-                    _weight_grads(blk, rec, g)
-                else:
-                    lane.submit(partial(_weight_grads, blk, rec, g))
-            if i or want_input_grad:
+            if grads is not None:
+                gw, gb = _grad_views(blk, grads)
+                gw += rec.T @ g
+                gb += g.sum(axis=0)
+            if i:
                 g, own = g @ blk.w.T, True
+            elif out is not None:
+                np.matmul(g, blk.w.T, out=out)
         elif spec.kind == "layer_norm":
-            g, own = _layer_norm_grad(blk, *rec, g, own, accumulate), True
+            g, own = _layer_norm_grad(blk, *rec, g, own, None if grads is None else _grad_views(blk, grads)), True
         elif spec.kind == "elu":
             if rec is None:  # the preceding layer norm's output, rebuilt as the forward built it
                 rec = records[i - 1][0] * net.blocks[i - 1].w[0]
@@ -620,25 +545,30 @@ def _backward(net: Network, tape: Tape, g: np.ndarray, accumulate: bool, want_in
         else:  # residual_end: split gradient between inner stack and skip
             res_gstack.append(g)
             own = False
-    return g if want_input_grad else None
+    if out is not None and net.specs[0].kind != "linear":
+        out[...] = g
 
 
-def _weight_grads(blk: ParamBlock, rec: np.ndarray, g: np.ndarray) -> None:
-    blk.gw += rec.T @ g
-    blk.gb += g.sum(axis=0)
+def _grad_views(blk: ParamBlock, grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``blk``'s ``(gw, gb)`` in a flat gradient vector laid out like its arena."""
+    mid = blk.start + blk.w.size
+    return grads[blk.start : mid].reshape(blk.w.shape), grads[mid : blk.stop]
 
 
-def _layer_norm_grad(blk: ParamBlock, xhat: np.ndarray, inv: np.ndarray, g: np.ndarray, own: bool, accumulate: bool) -> np.ndarray:
+def _layer_norm_grad(
+    blk: ParamBlock, xhat: np.ndarray, inv: np.ndarray, g: np.ndarray, own: bool, grad: tuple[np.ndarray, np.ndarray] | None
+) -> np.ndarray:
     """Input gradient of a layer norm, written into ``g`` when ``own``;
-    the parameter gradients accumulate first, while ``g`` is intact, and
-    their ``g * xhat`` buffer is then the pass's scratch.  ``xhat`` is only
-    read.  A function of its own so its temporaries die before the next
-    layer."""
+    the parameter gradients accumulate first into ``grad`` (``(gw, gb)``,
+    unless None), while ``g`` is intact, and their ``g * xhat`` buffer is
+    then the pass's scratch.  ``xhat`` is only read.  A function of its
+    own so its temporaries die before the next layer."""
     t = None
-    if accumulate:
+    if grad is not None:
+        gw, gb = grad
         t = np.multiply(g, xhat)
-        blk.gw += t.sum(axis=0, keepdims=True)
-        blk.gb += g.sum(axis=0)
+        gw += t.sum(axis=0, keepdims=True)
+        gb += g.sum(axis=0)
     dxhat = np.multiply(g, blk.w[0], out=g if own else None)
     t = np.multiply(dxhat, xhat, out=t)
     m2 = _mean_rows(t)

@@ -16,23 +16,14 @@ train as a side effect and return the loss values; the caller applies
 the Adam steps.  Callers must not run two training steps on the same
 networks at once.
 
-Two lanes: paired passes run through ``nn.run_pair`` (a twin pair
-through ``nn.forward_both``/``nn.backward_both``), which puts the second
-pass on a short-lived worker thread; the results are the same bits as
-sequential calls.  ``critic_loss`` staggers its passes so that each lane
-has work (calling thread || worker):
-
-1. the actor's bootstrap forward || online q1's taped forward;
-2. the target pair, on the bootstrap actions;
-3. q1's backward || q2's taped forward;
-4. q2's backward || the actor's taped forward over the valid online
-   rows, which ``actor_loss`` then takes as ``actor_pass``.
-
-``actor_loss`` runs the critic pair on its actions, forward then
-backward, and the actor's lone backward, whose weight gradients ``nn``
-computes on the worker.  Only ``nn``-private code runs on the worker,
-never a ``policy`` or ``sac`` function, and the random draws keep their
-order, so a learner step is bit-identical to running every pass in turn.
+Every network pass goes through ``nn.forward``/``nn.backward``, one pass
+at a time; from ``nn._BOTH_MIN_WORK`` up, ``nn`` splits a pass's rows
+over two threads (see ``nn``), bit-identical to running both halves in
+turn.  ``critic_loss`` runs the actor's bootstrap forward, the target
+pair, then q1's forward and backward and q2's forward and backward;
+``actor_loss`` runs the actor's taped forward, the critic pair on its
+actions, forward then backward, and the actor's backward.  The random
+draws keep their order.
 """
 
 from __future__ import annotations
@@ -229,8 +220,6 @@ class CriticLossResult:
     td_magnitudes: np.ndarray  # (B, L), zero at padded positions
     segment_priorities: np.ndarray  # (B,)
     targets: np.ndarray = field(repr=False, default=None)  # (B, L, n_terms)
-    actor_rows: np.ndarray = field(repr=False, default=None)  # (valid positions, obs_dim), see critic_loss
-    actor_pass: tuple[np.ndarray, nn.Tape] = field(repr=False, default=None)  # see critic_loss
 
 
 def critic_loss(
@@ -250,82 +239,67 @@ def critic_loss(
     priorities for repriorization.  Gradients accumulate into the online
     critics only.
 
-    The result's ``actor_rows`` are the observations at the batch's valid
-    positions and ``actor_pass`` is the actor's taped forward over them,
-    run in the second lane beside q2's backward, for ``actor_loss``.  The
-    rows are gathered just before that pair: in a full-scale stage,
-    gathering them before the loss raised the peak RSS by about 5 MB.
-
-    Faults: the passes are staggered over two lanes (see the module
-    docstring), so a ``NumericFault`` comes out at one of three points.
-    Non-finite targets, importance weights or q1 terms of the loss are
-    raised before any backward, with every gradient untouched.  A fault
-    in q2's forward or a non-finite q2 term is raised after q1's backward
-    has accumulated its (finite) gradients; q2's stay untouched.  A fault
-    in the actor's forward over the online rows comes out here, after
-    both critics' backwards and before the caller's critic Adam steps
-    (``actor_loss`` raised it when it ran that forward itself).
+    Faults: a ``NumericFault`` from non-finite targets, importance
+    weights, q1's forward or q1's terms of the loss is raised before any
+    backward, with every gradient untouched.  One from q2's forward or
+    q2's terms is raised after q1's backward has accumulated its (finite)
+    gradients; q2's stay untouched.
     """
     B, L, act_dim = batch.actions.shape
     obs_dim = batch.obs.shape[2]
     n = hyper.n_step
     if batch.obs.shape[1] != L + n:
         raise ContractViolation(f"batch tail ({batch.obs.shape[1] - L}) does not match n_step {n}")
-    q1_net, q2_net = ensemble.q1.net, ensemble.q2.net
 
-    online_in = np.concatenate([batch.obs[:, :L].reshape(B * L, obs_dim), batch.actions.reshape(B * L, act_dim)], axis=1)
-    boot_obs = batch.obs[:, n : n + L].reshape(B * L, obs_dim)
-    (boot_out, _), (q1, tape1) = nn.run_pair(nn.forward_pass(actor_net, boot_obs, False), nn.forward_pass(q1_net, online_in))
-    boot_q = _bootstrap_q(boot_obs, boot_out, ensemble, rng, boot_noise)
+    boot_q = _bootstrap_q(batch.obs[:, n : n + L].reshape(B * L, obs_dim), ensemble, actor_net, rng, boot_noise)
     y = n_step_targets(batch.rewards, batch.dones, boot_q.reshape(B, L, -1), hyper)
 
-    valid_bool = np.arange(L)[None, :] < batch.lengths[:, None]
-    valid = valid_bool.astype(np.float64)
+    valid = (np.arange(L)[None, :] < batch.lengths[:, None]).astype(np.float64)
     n_valid = valid.sum()
     w_bt = batch.weights[:, None] * valid  # (B, L)
     scale = (w_bt / n_valid)[:, :, None]
 
+    online_in = np.concatenate([batch.obs[:, :L].reshape(B * L, obs_dim), batch.actions.reshape(B * L, act_dim)], axis=1)
+    q1, tape1 = nn.forward(ensemble.q1.net, online_in)
     d1 = q1.reshape(B, L, -1) - y
     if not np.isfinite(0.5 * ((d1 * d1) * w_bt[:, :, None]).sum() / n_valid):  # q1's half, before any backward
         raise NumericFault(f"non-finite critic loss; offending batch ids {batch.ids}")
-    q1_back = nn.backward_pass(q1_net, tape1, (d1 * scale).reshape(B * L, -1), want_input_grad=False)
-    _, (q2, tape2) = nn.run_pair(q1_back, nn.forward_pass(q2_net, online_in))
+    nn.backward(ensemble.q1.net, tape1, (d1 * scale).reshape(B * L, -1), want_input_grad=False)
+
+    q2, tape2 = nn.forward(ensemble.q2.net, online_in)
     del online_in  # q2's tape holds it until its backward is done with it
     d2 = q2.reshape(B, L, -1) - y
-
     loss = float(0.5 * ((d1 * d1 + d2 * d2) * w_bt[:, :, None]).sum() / n_valid)
     if not np.isfinite(loss):
         raise NumericFault(f"non-finite critic loss; offending batch ids {batch.ids}")
-
-    actor_rows = batch.obs[:, :L][valid_bool]
-    q2_back = nn.backward_pass(q2_net, tape2, (d2 * scale).reshape(B * L, -1), want_input_grad=False)
-    _, actor_pass = nn.run_pair(q2_back, nn.forward_pass(actor_net, actor_rows))
+    nn.backward(ensemble.q2.net, tape2, (d2 * scale).reshape(B * L, -1), want_input_grad=False)
 
     td = np.abs(((d1 + d2) * 0.5) @ hyper.weights) * valid
     prios = np.array(
         [segment_priority(td[b, : batch.lengths[b]], eta) for b in range(B)]
     )
-    return CriticLossResult(loss, td, prios, y, actor_rows, actor_pass)
+    return CriticLossResult(loss, td, prios, y)
 
 
 def _bootstrap_q(
     boot_obs: np.ndarray,
-    boot_out: np.ndarray,
     ensemble: CriticEnsemble,
+    actor_net: nn.Network,
     rng: np.random.Generator | None,
     boot_noise: np.ndarray | None,
 ) -> np.ndarray:
-    """min(Q1', Q2')(s, a*) with a* ~ pi(. | s) drawn from the actor's
-    output ``boot_out`` on ``boot_obs``, one row per row; its temporaries
-    die on return."""
-    head, _ = policy.head_from_output(boot_out)
+    """min(Q1', Q2')(s, a*) with a* ~ pi(. | s) from the current policy, one
+    row per row of ``boot_obs``; its temporaries die on return."""
+    out, _ = nn.forward(actor_net, boot_obs, want_tape=False)
+    head, _ = policy.head_from_output(out)
     if boot_noise is None:
         if rng is None:
             raise ConfigError("critic_loss needs an rng or explicit bootstrap noise")
         boot_noise = rng.standard_normal(head.mu.shape)
     a_boot = policy.sample(head, boot_noise).action
-    targets = (ensemble.q1_target.net, ensemble.q2_target.net)
-    (q1t, _), (q2t, _) = nn.forward_both(targets, np.concatenate([boot_obs, a_boot], axis=1), want_tape=False)
+    target_in = np.concatenate([boot_obs, a_boot], axis=1)
+    q1t, _ = nn.forward(ensemble.q1_target.net, target_in, want_tape=False)
+    q2t, _ = nn.forward(ensemble.q2_target.net, target_in, want_tape=False)
     return np.minimum(q1t, q2t)
 
 
@@ -337,25 +311,17 @@ def actor_loss(
     hyper: SacHyper,
     rng: np.random.Generator | None = None,
     noise: np.ndarray | None = None,
-    actor_pass: tuple[np.ndarray, nn.Tape] | None = None,
 ) -> tuple[float, np.ndarray]:
     """mean( alpha * log pi(a|s) - sum_i w_i min(Q1_i, Q2_i)(s, a) ).
 
     Actions are reparameterized draws from the current policy; the
     gradient flows through them into both terms and accumulates into the
     actor network only.  Returns the loss and the per-row log
-    probabilities (for temperature tuning).  ``actor_pass`` is the
-    actor's taped forward over ``obs_rows`` when the caller already ran
-    it (``CriticLossResult.actor_pass``); without it the forward runs
-    here.
+    probabilities (for temperature tuning).
     """
     obs_rows = np.asarray(obs_rows, dtype=np.float64)
     M = obs_rows.shape[0]
-    if actor_pass is None:
-        actor_pass = nn.forward(actor_net, obs_rows)
-    out, tape_a = actor_pass
-    if tape_a is None or tape_a.net is not actor_net or tape_a.batch != M:
-        raise ContractViolation(f"actor_pass is not a tape of the actor over the {M} rows")
+    out, tape_a = nn.forward(actor_net, obs_rows)
     head, clamp_mask = policy.head_from_output(out)
     if noise is None:
         if rng is None:
@@ -364,8 +330,8 @@ def actor_loss(
     sampled = policy.sample(head, noise)
 
     crit_in = np.concatenate([obs_rows, sampled.action], axis=1)
-    critics = (ensemble.q1.net, ensemble.q2.net)
-    (q1, tape1), (q2, tape2) = nn.forward_both(critics, crit_in, want_tape="input_grad")
+    q1, tape1 = nn.forward(ensemble.q1.net, crit_in, want_tape="input_grad")
+    q2, tape2 = nn.forward(ensemble.q2.net, crit_in, want_tape="input_grad")
     del crit_in  # input_grad tapes keep no linear inputs
     take1 = q1 <= q2  # per-coordinate twin minimum (subgradient routes to the smaller)
     q_min = np.where(take1, q1, q2)
@@ -379,10 +345,11 @@ def actor_loss(
     gq = (-hyper.weights[None, :] / M) * np.ones((M, 1))
     g1 = np.where(take1, gq, 0.0)
     g2 = np.where(take1, 0.0, gq)
-    din1, din2 = nn.backward_both(critics, (tape1, tape2), (g1, g2), accumulate=False)
+    # only the action columns of the input gradients are needed; one full
+    # gradient is alive at a time
     obs_cols = obs_rows.shape[1]
-    da = din1[:, obs_cols:] + din2[:, obs_cols:]
-    del din1, din2  # only their action columns are needed
+    da = nn.backward(ensemble.q1.net, tape1, g1, accumulate=False)[:, obs_cols:].copy()
+    da += nn.backward(ensemble.q2.net, tape2, g2, accumulate=False)[:, obs_cols:]
 
     dlp_dmu, dlp_dls, da_dmu, da_dls = policy.sample_grads(head, sampled, noise, clamp_mask)
     coef_lp = alpha / M

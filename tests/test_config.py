@@ -89,6 +89,16 @@ class TestRejectsConfigsThatCannotTrain:
             TrainConfig(capacity=100, batch=32, min_store_segments=200)
         assert TrainConfig(capacity=32, batch=32).capacity == 32
 
+    def test_replay_larger_than_physical_memory(self):
+        # such a capacity used to be accepted and the run failed late, once
+        # the store had grown past the machine's memory
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        for n_step in (5, 20):
+            most = memory // ((195 + 18 * n_step) * 8)  # slots of sampler-cut records that fit
+            assert TrainConfig(capacity=most, n_step=n_step).capacity == most
+            with pytest.raises(ConfigError, match=r"capacity \(\d+\) needs"):
+                TrainConfig(capacity=most + 1, n_step=n_step)
+
     def test_min_store_segments_below_batch(self):
         # the learner used to start at 2 segments and die in sample() with
         # "store holds 2 segments; batch needs 16", which names no key
@@ -151,6 +161,7 @@ class TestRejectsConfigsThatCannotTrain:
             (["--batch", "16", "--min_store_segments", "2"], "min_store_segments"),
             (["--total_env_steps", "100", "--epoch_env_steps", "100"], "total_env_steps"),
             (["--horizon", "4"], "horizon"),
+            (["--capacity", "1000000000"], "capacity"),
         ],
     )
     def test_cli_exits_one_naming_the_key(self, tmp_path, capsys, flags, key):

@@ -1,9 +1,8 @@
-import re
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from fieldsac import distill, nn, sac
@@ -413,124 +412,19 @@ class TestSingleUseTapes:
         assert _same_bits(x, x_before) and _same_bits(g, g_before)
         assert tape.records is None and tape.batch == 30
 
-    def test_reused_tape_raises_before_any_thread_starts(self, twin_gate):
-        a, b, rng = _twin_nets(46)
-        x, g = rng.standard_normal((3, 5)), rng.standard_normal((3, 3))
-        (_, ta), (_, tb) = nn.forward_both((a, b), x)
-        nn.backward(a, ta, g)
-        grads = a.arena.grads.copy()
+    def test_reused_tape_raises_before_any_thread_starts(self, lanes, monkeypatch):
+        rng = np.random.default_rng(46)
+        net = random_net(rng, in_dim=5, hidden=8, out_dim=3)
+        x, g = rng.standard_normal((5, 5)), rng.standard_normal((5, 3))
+        _, tape = nn.forward(net, x)
+        assert tape.cut == 2 and tape.tail is not None
+        nn.backward(net, tape, g)
+        grads = net.arena.grads.copy()
+        assert tape.records is None and tape.tail is None
+        monkeypatch.setattr(nn, "_halves", lambda *args: pytest.fail("a consumed tape started a pass"))
         with pytest.raises(ContractViolation, match="consumed"):
-            nn.backward(a, ta, g)
-        before = threading.active_count()
-        for nets, tapes in (((a, b), (ta, tb)), ((b, a), (tb, ta))):
-            with pytest.raises(ContractViolation, match="consumed"):
-                nn.backward_both(nets, tapes, (g, g))
-        assert threading.active_count() == before
-        assert _same_bits(a.arena.grads, grads) and not b.arena.grads.any()
-        # the refused call consumed nothing: b's tape still serves one pass
-        nn.backward(b, tb, g)
-        assert b.arena.grads.any()
-
-
-def _twin_nets(seed):
-    rng = np.random.default_rng(seed)
-    a = random_net(rng, in_dim=5, hidden=8, out_dim=3, activation="relu")
-    b = random_net(rng, in_dim=5, hidden=8, out_dim=3, activation="elu")
-    return a, b, rng
-
-
-@pytest.fixture(params=[0, 1 << 62], ids=["threaded", "sequential"])
-def twin_gate(request, monkeypatch):
-    """``_BOTH_MIN_WORK`` at 0 (every twin pair on two threads) or huge (never)."""
-    monkeypatch.setattr(nn, "_BOTH_MIN_WORK", request.param)
-    return request.param
-
-
-class TestTwinPasses:
-    """``forward_both``/``backward_both`` must be two single passes, bit for
-    bit, whether or not the second runs on a worker thread."""
-
-    @pytest.mark.parametrize("want_tape", [True, "input_grad"])
-    def test_same_bits_as_two_single_passes(self, twin_gate, want_tape):
-        a, b, rng = _twin_nets(40)
-        ra, rb = a.copy(), b.copy()
-        x = rng.standard_normal((6, 5))
-        grads = (rng.standard_normal((6, 3)), rng.standard_normal((6, 3)))
-        (ya, ta), (yb, tb) = nn.forward_both((a, b), x, want_tape)
-        (za, sa), (zb, sb) = nn.forward(ra, x, want_tape), nn.forward(rb, x, want_tape)
-        assert _same_bits(ya, za) and _same_bits(yb, zb)
-        acc = want_tape is True
-        ga, gb = nn.backward_both((a, b), (ta, tb), grads, accumulate=acc)
-        assert _same_bits(ga, nn.backward(ra, sa, grads[0], accumulate=acc))
-        assert _same_bits(gb, nn.backward(rb, sb, grads[1], accumulate=acc))
-        for net, ref in ((a, ra), (b, rb)):
-            assert _same_bits(net.arena.grads, ref.arena.grads)
-        assert acc == bool(a.arena.grads.any())
-
-    @pytest.mark.parametrize("name", ["forward", "backward"])
-    def test_first_pass_public_on_caller_second_private(self, twin_gate, name, monkeypatch):
-        # a profiler wraps the public functions and keeps one span stack,
-        # so only the calling thread may enter them
-        a, b, rng = _twin_nets(41)
-        calls = {"public": [], "private": []}
-
-        def recording(kind, fn):
-            def wrapped(*args):
-                calls[kind].append((threading.get_ident(), args[0]))
-                return fn(*args)
-
-            return wrapped
-
-        monkeypatch.setattr(nn, name, recording("public", getattr(nn, name)))
-        monkeypatch.setattr(nn, "_" + name, recording("private", getattr(nn, "_" + name)))
-        x = rng.standard_normal((2, 5))
-        (_, ta), (_, tb) = nn._forward(a, x, True), nn._forward(b, x, True)
-        calls["private"].clear()
-        if name == "forward":
-            nn.forward_both((a, b), x)
-        else:
-            nn.backward_both((a, b), (ta, tb), (np.ones((2, 3)), np.ones((2, 3))))
-        me = threading.get_ident()
-        assert calls["public"] == [(me, a)]
-        (t_a, net_a), (t_b, net_b) = sorted(calls["private"], key=lambda c: c[1] is b)
-        assert (t_a, net_a) == (me, a) and net_b is b
-        assert (t_b != me) == (twin_gate == 0)
-
-    def test_fault_in_second_network_raises_the_single_pass_message(self, twin_gate):
-        a, b, rng = _twin_nets(42)
-        x = rng.standard_normal((4, 5))
-        b.blocks[-1].b[0] = np.nan
-        with pytest.raises(NumericFault) as single:
-            nn.forward(b, x)
-        before = threading.active_count()
-        with pytest.raises(NumericFault, match=re.escape(str(single.value))):
-            nn.forward_both((a, b), x)
-        assert threading.active_count() == before
-
-    def test_first_network_error_wins_when_both_fail(self, twin_gate):
-        a, b, rng = _twin_nets(43)
-        x = rng.standard_normal((4, 5))
-        a.blocks[0].w[0, 0] = np.nan
-        b.blocks[-1].b[0] = np.nan
-        with pytest.raises(NumericFault, match=r"layer 0 \(linear\)"):
-            nn.forward_both((a, b), x)
-        with pytest.raises(NumericFault, match=f"layer {len(b.specs) - 1} \\(linear\\)"):
-            nn.forward_both((b, a), x)
-
-    def test_input_grad_tape_refuses_to_accumulate(self, twin_gate):
-        a, b, rng = _twin_nets(44)
-        x, g = rng.standard_normal((3, 5)), rng.standard_normal((3, 3))
-        (_, ta), (_, tb) = nn.forward_both((a, b), x, want_tape="input_grad")
-        with pytest.raises(ContractViolation, match="input_grad"):
-            nn.backward(a, ta, g)
-        with pytest.raises(ContractViolation, match="input_grad"):
-            nn.backward_both((a, b), (ta, tb), (g, g))
-        assert not a.arena.grads.any() and not b.arena.grads.any()
-
-    def test_unknown_tape_kind_rejected(self):
-        a, _, rng = _twin_nets(45)
-        with pytest.raises(ConfigError, match="want_tape"):
-            nn.forward(a, rng.standard_normal((1, 5)), want_tape="params")
+            nn.backward(net, tape, g)
+        assert _same_bits(net.arena.grads, grads)
 
 
 def _assert_blocks_on_arena(net):
@@ -755,6 +649,14 @@ class TestGradCheck:
         x = rng.standard_normal((4, 4)) + 0.3
         report = nn.grad_check(net, x, tolerance=1e-6)
         assert report.passed, f"worst rel err {report.worst}"
+
+    def test_split_passes_match_central_differences(self, lanes):
+        rng = np.random.default_rng(10)
+        for trial in range(5):
+            net = random_net(rng)
+            x = rng.standard_normal((5, net.in_dim))
+            report = nn.grad_check(net, x, tolerance=1e-6, seed=trial)
+            assert report.passed, f"worst rel err {report.worst}"
 
     def test_corrupted_gradient_fails_check(self):
         rng = np.random.default_rng(8)
@@ -1043,84 +945,222 @@ class TestInPlacePasses:
 # The worker lane
 
 
-@pytest.fixture
-def lane_thread(monkeypatch):
-    """Records the thread of every private pass body and weight-gradient job."""
-    seen = []
-    for name in ("_forward", "_backward", "_weight_grads"):
-        real = getattr(nn, name)
+@pytest.fixture(params=["threaded", "sequential"])
+def lanes(request, monkeypatch):
+    """Every pass split (``_BOTH_MIN_WORK`` 0), its second half on the
+    worker thread ("threaded") or, with the worker held, after the first
+    half on the calling thread ("sequential")."""
+    monkeypatch.setattr(nn, "_BOTH_MIN_WORK", 0)
+    if request.param == "sequential":
+        with nn._LANE_OPEN:
+            yield request.param
+    else:
+        yield request.param
 
-        def recording(*args, _real=real, _name=name, **kw):
-            seen.append((_name, threading.get_ident(), threading.active_count()))
-            return _real(*args, **kw)
 
-        monkeypatch.setattr(nn, name, recording)
-    return seen
+def _ref_split_run(net, x, want_tape):
+    """A forward split at ``rows // 2``, written out: each half through the
+    out-of-place reference, the outputs stacked; returns the output and
+    both halves' records."""
+    cut = x.shape[0] // 2
+    (ya, ra), (yb, rb) = _ref_run(net, x[:cut], want_tape), _ref_run(net, x[cut:], want_tape)
+    return np.concatenate([ya, yb]), (ra, rb)
+
+
+def _ref_split_backward(net, records, g, accumulate, want_input_grad):
+    """The backward of ``_ref_split_run``'s halves: the first half's
+    parameter gradients add into ``net``'s, the second's into a zeroed
+    spare that is added after both; the input gradients are stacked."""
+    cut = g.shape[0] // 2
+    spare = net.copy()
+    spare.zero_grads()
+    gins = [
+        _ref_backward(net, records[0], g[:cut], accumulate, want_input_grad),
+        _ref_backward(spare, records[1], g[cut:], accumulate, want_input_grad),
+    ]
+    if accumulate:
+        net.arena.grads += spare.arena.grads
+    return np.concatenate(gins) if want_input_grad else None
+
+
+class TestTwinPasses:
+    """From ``_BOTH_MIN_WORK`` up a pass runs as two twin passes, one per
+    half of its rows.  Its results must be the bits of two single passes
+    over the halves, stacked, whether the second half runs on the worker
+    thread or after the first on the calling thread."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        kinds=_layer_kinds(),
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(2, 9),
+        accumulate=st.booleans(),
+        want_input_grad=st.booleans(),
+    )
+    @example(["linear", "layer_norm", "elu", "residual_begin", "linear", "relu", "residual_end", "linear"], 5, 7, True, True)
+    @example(["layer_norm", "relu", "linear"], 6, 2, False, True)
+    @pytest.mark.parametrize("want_tape", [True, "input_grad", False])
+    def test_same_bits_as_two_single_passes(self, lanes, want_tape, kinds, seed, rows, accumulate, want_input_grad):
+        rng = np.random.default_rng(seed)
+        width = 5
+        specs = [nn.LayerSpec(k, width, width) for k in kinds]
+        net = nn.Network(specs, nn.arena_blocks(specs))
+        net.arena.params[:] = rng.standard_normal(net.n_params()) * 0.5
+        net.arena.grads[:] = rng.standard_normal(net.n_params())
+        ref = net.copy()
+        x, g = rng.standard_normal((rows, width)) * 3.0, rng.standard_normal((rows, width))
+        x_before, g_before = x.copy(), g.copy()
+        accumulate = accumulate and want_tape is True
+
+        y, tape = nn.forward(net, x, want_tape)
+        ry, records = _ref_split_run(ref, x, want_tape)
+        assert _same_bits(y, ry) and _same_bits(x, x_before)
+        if not want_tape:
+            assert tape is None
+            return
+        assert tape.cut == rows // 2 and tape.batch == rows
+        assert _same_records(tape.records, records[0]) and _same_records(tape.tail, records[1])
+        gin = nn.backward(net, tape, g, accumulate, want_input_grad)
+        ref_gin = _ref_split_backward(ref, records, g, accumulate, want_input_grad)
+        assert _same_bits(gin, ref_gin) if want_input_grad else gin is None
+        assert _same_bits(net.arena.grads, ref.arena.grads)
+        assert _same_bits(x, x_before) and _same_bits(g, g_before)
+
+    @pytest.mark.parametrize("name", ["forward", "backward"])
+    def test_first_pass_public_on_caller_second_private(self, lanes, name, monkeypatch):
+        # a profiler wraps the public functions and keeps one span stack,
+        # so only the calling thread may enter them
+        rng = np.random.default_rng(41)
+        net = random_net(rng, in_dim=5, hidden=8, out_dim=3)
+        x = rng.standard_normal((5, 5))
+        _, tape = nn.forward(net, x)
+        private, rows_arg = ("_run", 1) if name == "forward" else ("_backward", 2)
+        calls = []
+        for fn in (name, private):
+            real = getattr(nn, fn)
+
+            def recording(*args, _real=real, _fn=fn, **kw):
+                calls.append((_fn, threading.get_ident(), args[rows_arg].shape[0] if _fn == private else None))
+                return _real(*args, **kw)
+
+            monkeypatch.setattr(nn, fn, recording)
+        if name == "forward":
+            nn.forward(net, x)
+        else:
+            nn.backward(net, tape, np.ones((5, 3)))
+        me = threading.get_ident()
+        assert calls[0] == (name, me, None) and len(calls) == 3
+        (_, t_a, rows_a), (_, t_b, rows_b) = sorted(calls[1:], key=lambda c: c[2])
+        assert (rows_a, rows_b) == (2, 3) and t_a == me
+        assert (t_b != me) == (lanes == "threaded")
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_fault_in_either_half_raises_the_single_pass_message(self, lanes, monkeypatch):
+        # a row [inf, 1] fails at layer 0; a row [1e150, 1] only at layer 2,
+        # where the 1e200 weight overflows it
+        specs = [nn.LayerSpec("linear", 2, 2), nn.LayerSpec("relu", 2, 2), nn.LayerSpec("linear", 2, 2),
+                 nn.LayerSpec("relu", 2, 2), nn.LayerSpec("linear", 2, 1)]
+        blocks = [nn.ParamBlock(np.eye(2), np.zeros(2)), None, nn.ParamBlock(np.eye(2) * 1e200, np.zeros(2)), None,
+                  nn.ParamBlock(np.ones((2, 1)), np.zeros(1))]
+        net = nn.Network(specs, blocks)
+        fine, late, early = [0.5, 1.0], [1e150, 1.0], [np.inf, 1.0]
+        cases = [([late, fine, fine, fine], 2), ([fine, fine, fine, late], 2), ([early, fine, late, fine], 0), ([late, fine, fine, early], 0)]
+        for rows, layer in cases:
+            x = np.array(rows)
+            monkeypatch.setattr(nn, "_BOTH_MIN_WORK", 1 << 62)
+            with pytest.raises(NumericFault, match=f"layer {layer} \\(linear\\)") as whole:
+                nn.forward(net, x)
+            monkeypatch.setattr(nn, "_BOTH_MIN_WORK", 0)
+            before = threading.active_count()
+            with pytest.raises(NumericFault) as split:
+                nn.forward(net, x)
+            assert str(split.value) == str(whole.value)
+            assert threading.active_count() == before
+
+    def test_first_half_error_wins_when_both_fail(self, lanes, monkeypatch):
+        rng = np.random.default_rng(43)
+        net = random_net(rng, in_dim=5, hidden=8, out_dim=3)
+
+        def failing(net_, x, *args):
+            raise RuntimeError(f"half of {x.shape[0]} rows")
+
+        monkeypatch.setattr(nn, "_run", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="half of 2 rows"):
+            nn.forward(net, rng.standard_normal((5, 5)))
+        assert threading.active_count() == before
+
+    def test_input_grad_tape_refuses_to_accumulate(self, lanes):
+        rng = np.random.default_rng(44)
+        net = random_net(rng, in_dim=5, hidden=8, out_dim=3)
+        x, g = rng.standard_normal((3, 5)), rng.standard_normal((3, 3))
+        _, tape = nn.forward(net, x, want_tape="input_grad")
+        assert tape.tail is not None
+        with pytest.raises(ContractViolation, match="input_grad"):
+            nn.backward(net, tape, g)
+        assert not net.arena.grads.any()
+        # the refused call consumed nothing: the tape still serves one pass
+        assert nn.backward(net, tape, g, accumulate=False).shape == x.shape
+
+    def test_unknown_tape_kind_rejected(self):
+        rng = np.random.default_rng(45)
+        net = random_net(rng, in_dim=5, hidden=8, out_dim=3)
+        with pytest.raises(ConfigError, match="want_tape"):
+            nn.forward(net, rng.standard_normal((1, 5)), want_tape="params")
 
 
 class TestWorkerLane:
     @pytest.mark.parametrize("gate", [0, 1 << 62])
-    def test_offloaded_weight_gradients_equal_inline(self, gate, monkeypatch, lane_thread):
+    def test_offloaded_weight_gradients_equal_inline(self, gate, monkeypatch):
+        # the worker's half adds its weight gradients into a spare vector;
+        # with the worker held that half runs inline, after the first
+        monkeypatch.setattr(nn, "_BOTH_MIN_WORK", gate)
         rng = np.random.default_rng(80)
         net = _elu_stack(rng)
         net.arena.params[:] = rng.standard_normal(net.n_params()) * 0.5
+        net.arena.grads[:] = rng.standard_normal(net.n_params())
         ref = net.copy()
-        x, g = rng.standard_normal((30, 8)), rng.standard_normal((30, 3))
-        _, tape = nn.forward(ref, x)
-        monkeypatch.setattr(nn, "_BOTH_MIN_WORK", 1 << 62)
-        inline = nn.backward(ref, tape, g)
+        x, g = rng.standard_normal((31, 8)), rng.standard_normal((31, 3))
+        with nn._LANE_OPEN:
+            _, tape = nn.forward(ref, x)
+            inline = nn.backward(ref, tape, g)
+        seen = []
+        real = nn._backward
+
+        def recording(*args):
+            seen.append(threading.get_ident())
+            return real(*args)
+
         _, tape = nn.forward(net, x)
-        monkeypatch.setattr(nn, "_BOTH_MIN_WORK", gate)
-        lane_thread.clear()
+        monkeypatch.setattr(nn, "_backward", recording)
         before = threading.active_count()
         assert _same_bits(nn.backward(net, tape, g), inline)
-        assert _same_bits(net.arena.grads, ref.arena.grads) and net.arena.grads.any()
+        assert _same_bits(net.arena.grads, ref.arena.grads)
         assert threading.active_count() == before
         me = threading.get_ident()
-        jobs = [(t, n) for name, t, n in lane_thread if name == "_weight_grads"]
-        assert len(jobs) == sum(s.kind == "linear" for s in net.specs)
-        assert all((t != me) == (gate == 0) and n <= before + 1 for t, n in jobs)
+        assert sorted(t != me for t in seen) == ([False, True] if gate == 0 else [False])
 
-    def test_pair_first_keeps_its_weight_gradients(self, monkeypatch, lane_thread):
-        # a backward run inside a pair finds the lane open: no third thread
+    @pytest.mark.parametrize("name", ["forward", "backward"])
+    def test_worker_error_reaches_the_caller(self, name, monkeypatch):
         monkeypatch.setattr(nn, "_BOTH_MIN_WORK", 0)
-        a, b, rng = _twin_nets(81)
+        rng = np.random.default_rng(83)
+        net = random_net(rng, in_dim=5, hidden=8, out_dim=3)
         x = rng.standard_normal((4, 5))
-        (_, ta), (_, tb) = nn.forward_both((a, b), x)
-        lane_thread.clear()
+        _, tape = nn.forward(net, x)
+        private = "_run" if name == "forward" else "_backward"
+        real, me = getattr(nn, private), threading.get_ident()
+
+        def failing_on_the_worker(*args):
+            if threading.get_ident() != me:
+                raise RuntimeError("synthetic worker failure")
+            return real(*args)
+
+        monkeypatch.setattr(nn, private, failing_on_the_worker)
         before = threading.active_count()
-        nn.backward_both((a, b), (ta, tb), (np.ones((4, 3)), np.ones((4, 3))))
-        assert len({t for _, t, _ in lane_thread}) == 2
-        assert all(n <= before + 1 for _, _, n in lane_thread)
-
-    def test_mixed_pair_same_bits_as_single_calls(self, twin_gate):
-        a, b, rng = _twin_nets(82)
-        ra, rb = a.copy(), b.copy()
-        x, g = rng.standard_normal((6, 5)), rng.standard_normal((6, 3))
-        _, ta = nn.forward(a, x)
-        _, sa = nn.forward(ra, x)
-        gin, (yb, tb) = nn.run_pair(nn.backward_pass(a, ta, g), nn.forward_pass(b, x))
-        assert _same_bits(gin, nn.backward(ra, sa, g)) and _same_bits(a.arena.grads, ra.arena.grads)
-        zb, sb = nn.forward(rb, x)
-        assert _same_bits(yb, zb) and _same_records(tb.records, sb.records)
-
-    @pytest.mark.parametrize("where", ["pair", "weight_grads"])
-    def test_worker_error_reaches_the_caller(self, where, monkeypatch):
-        monkeypatch.setattr(nn, "_BOTH_MIN_WORK", 0)
-        a, b, rng = _twin_nets(83)
-        x = rng.standard_normal((4, 5))
-        before = threading.active_count()
-        if where == "pair":
-            b.blocks[-1].b[0] = np.nan
-            with pytest.raises(NumericFault, match="non-finite output"):
-                nn.run_pair(nn.forward_pass(a, x), nn.forward_pass(b, x))
-        else:
-            def failing(*args):
-                raise RuntimeError("synthetic job failure")
-
-            _, tape = nn.forward(a, x)
-            monkeypatch.setattr(nn, "_weight_grads", failing)
-            with pytest.raises(RuntimeError, match="synthetic job failure"):
-                nn.backward(a, tape, np.ones((4, 3)))
+        with pytest.raises(RuntimeError, match="synthetic worker failure"):
+            if name == "forward":
+                nn.forward(net, x)
+            else:
+                nn.backward(net, tape, np.ones((4, 3)))
         assert threading.active_count() == before
         assert not nn._LANE_OPEN.locked()

@@ -181,11 +181,12 @@ class TestLearnerThrottle:
 
 
 class TestLearnerLanes:
-    """``Learner.step`` on two lanes (``_BOTH_MIN_WORK`` 0) or one (huge)."""
+    """``Learner.step`` with every pass split (``_BOTH_MIN_WORK`` 0), its
+    second halves on the worker thread (two lanes) or, with the worker
+    held, on the calling thread (one lane)."""
 
     @staticmethod
-    def _three_steps(gate, monkeypatch):
-        monkeypatch.setattr(nn, "_BOTH_MIN_WORK", gate)
+    def _three_steps():
         cfg = tiny_cfg(num_samplers=1)
         store, hub, learner, samplers = fresh_setup(cfg, seed=4)
         while len(store) < cfg.batch:
@@ -202,8 +203,10 @@ class TestLearnerLanes:
         return losses, (la.value, la.m, la.v, la.t), [a.tobytes() for a in arrays]
 
     def test_three_steps_same_bytes_on_one_or_two_lanes(self, monkeypatch):
-        two = self._three_steps(0, monkeypatch)
-        one = self._three_steps(1 << 62, monkeypatch)
+        monkeypatch.setattr(nn, "_BOTH_MIN_WORK", 0)
+        two = self._three_steps()
+        with nn._LANE_OPEN:
+            one = self._three_steps()
         assert two == one
 
     def test_worker_runs_only_nn_private_code(self, monkeypatch):
@@ -220,7 +223,7 @@ class TestLearnerLanes:
         public = [(sac, n) for n in ("critic_loss", "actor_loss", "n_step_targets", "temperature_loss", "_bootstrap_q")]
         public += [(policy, n) for n in ("head_from_output", "sample", "sample_grads")]
         public += [(nn, n) for n in ("forward", "backward", "adam_step_net", "soft_update_net")]
-        private = [(nn, n) for n in ("_forward", "_backward", "_weight_grads")]
+        private = [(nn, n) for n in ("_run", "_backward")]
         for mod, name in public + private:
             real = getattr(mod, name)
 
@@ -234,10 +237,12 @@ class TestLearnerLanes:
         assert threading.active_count() == before
         me = threading.get_ident()
         on_worker = {name for name, t, _ in calls if t != me}
-        assert on_worker and on_worker <= {"fieldsac.nn._forward", "fieldsac.nn._backward", "fieldsac.nn._weight_grads"}
+        assert on_worker == {"fieldsac.nn._run", "fieldsac.nn._backward"}
         assert all(n <= before + 1 for _, _, n in calls)
         names = [name for name, _, _ in calls]
         assert names.count("fieldsac.sac.critic_loss") == names.count("fieldsac.sac.actor_loss") == 1
+        # every pass enters the public functions once
+        assert names.count("fieldsac.nn.forward") == 8 and names.count("fieldsac.nn.backward") == 5
 
 
 class TestCheckpoint:

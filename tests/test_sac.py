@@ -427,12 +427,12 @@ class TestActorLoss:
 
 
 class TestTwinThreads:
-    """Each twin critic pair may run on two threads; every output must be
-    the same bits as running the pair one pass after the other."""
+    """With every pass split over two lanes, each output must be the same
+    bits whether the second halves run on the worker thread or after the
+    first halves on the calling thread."""
 
     @staticmethod
-    def _losses(min_work, monkeypatch):
-        monkeypatch.setattr(nn, "_BOTH_MIN_WORK", min_work)
+    def _losses():
         rng = np.random.default_rng(60)
         ens, actor = tiny_ensemble(rng, 3, 2), tiny_actor(rng, 3, 2)
         batch = tiny_batch(rng, full=False)
@@ -444,42 +444,24 @@ class TestTwinThreads:
         return res.loss, loss, arrays
 
     def test_critic_and_actor_losses_same_bits_threaded_or_not(self, monkeypatch):
-        threaded = self._losses(0, monkeypatch)
-        sequential = self._losses(1 << 62, monkeypatch)
+        monkeypatch.setattr(nn, "_BOTH_MIN_WORK", 0)
+        threaded = self._losses()
+        with nn._LANE_OPEN:  # the worker is held: second halves run after the first
+            sequential = self._losses()
         assert threaded[:2] == sequential[:2]
         for a, b in zip(threaded[2], sequential[2]):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
         assert threaded[2][4].any() and threaded[2][5].any()  # the actor and q1 gradients are live
 
 
-class TestStaggeredLanes:
-    """``critic_loss`` runs the actor's taped forward over the valid online
-    rows in its second lane and ``actor_loss`` takes it as ``actor_pass``;
-    either way every output is the same bits, threaded or not."""
+class TestCriticLossFaults:
+    """``critic_loss`` checks q1's half of the loss before q1's backward and
+    the whole loss before q2's, with passes split or whole."""
 
     @staticmethod
-    def _setup(seed=61):
+    def _setup(seed):
         rng = np.random.default_rng(seed)
-        ens, actor = tiny_ensemble(rng, 3, 2), tiny_actor(rng, 3, 2)
-        batch = tiny_batch(rng, full=False)
-        valid = np.arange(4)[None, :] < batch.lengths[:, None]
-        return ens, actor, batch, batch.obs[:, :4][valid]
-
-    @pytest.mark.parametrize("gate", [0, 1 << 62])
-    def test_critic_loss_hands_over_the_actor_forward(self, gate, monkeypatch):
-        monkeypatch.setattr(nn, "_BOTH_MIN_WORK", gate)
-        ens, actor, batch, rows = self._setup()
-        res = sac.critic_loss(batch, ens, actor, hyper(n_step=2), rng=np.random.default_rng(1))
-        assert res.actor_rows.tobytes() == rows.tobytes() and res.actor_rows.shape == rows.shape
-        assert not actor.arena.grads.any()  # the forward accumulates nothing
-        out, tape = res.actor_pass
-        want, want_tape = nn.forward(actor, rows)
-        assert out.tobytes() == want.tobytes() and tape.net is actor and tape.batch == rows.shape[0]
-        for a, b in zip(tape.records, want_tape.records):
-            if isinstance(b, tuple):
-                assert all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
-            else:
-                assert (a is None) == (b is None) and (b is None or a.tobytes() == b.tobytes())
+        return tiny_ensemble(rng, 3, 2), tiny_actor(rng, 3, 2), tiny_batch(rng, full=False)
 
     @staticmethod
     def _grads(ens, actor):
@@ -488,7 +470,7 @@ class TestStaggeredLanes:
     @pytest.mark.parametrize("gate", [0, 1 << 62])
     def test_fault_in_targets_leaves_every_gradient_untouched(self, gate, monkeypatch):
         monkeypatch.setattr(nn, "_BOTH_MIN_WORK", gate)
-        ens, actor, batch, _ = self._setup(64)
+        ens, actor, batch = self._setup(64)
         for net in (ens.q1.net, ens.q2.net, actor):
             net.arena.grads[:] = np.random.default_rng(5).standard_normal(net.arena.grads.size)
         before = self._grads(ens, actor)
@@ -503,31 +485,15 @@ class TestStaggeredLanes:
     @pytest.mark.parametrize("gate", [0, 1 << 62])
     def test_fault_in_q2_forward_comes_after_q1_backward(self, gate, monkeypatch):
         monkeypatch.setattr(nn, "_BOTH_MIN_WORK", gate)
-        ens, actor, batch, _ = self._setup(65)
+        ens, actor, batch = self._setup(65)
         ens.q2.net.blocks[-1].b[0] = np.inf
         threads = threading.active_count()
         with pytest.raises(NumericFault, match="non-finite output"):
             sac.critic_loss(batch, ens, actor, hyper(n_step=2), rng=np.random.default_rng(1))
         assert threading.active_count() == threads
         g1, g2, ga = self._grads(ens, actor)
-        assert g1.any() and np.isfinite(g1).all()  # q1's backward ran beside q2's forward
+        assert g1.any() and np.isfinite(g1).all()
         assert not g2.any() and not ga.any()
-
-    @pytest.mark.parametrize("gate", [0, 1 << 62])
-    def test_actor_loss_same_bits_with_or_without_actor_pass(self, gate, monkeypatch):
-        monkeypatch.setattr(nn, "_BOTH_MIN_WORK", gate)
-        ens, actor, _, rows = self._setup(62)
-        ref = actor.copy()
-        loss, logp = sac.actor_loss(rows, ens, actor, 0.2, hyper(), rng=np.random.default_rng(3), actor_pass=nn.forward(actor, rows))
-        ref_loss, ref_logp = sac.actor_loss(rows, ens, ref, 0.2, hyper(), rng=np.random.default_rng(3))
-        assert loss == ref_loss and logp.tobytes() == ref_logp.tobytes()
-        assert actor.arena.grads.tobytes() == ref.arena.grads.tobytes() and actor.arena.grads.any()
-
-    def test_actor_pass_of_other_rows_or_network_refused(self):
-        ens, actor, _, rows = self._setup(63)
-        for net, x in ((actor, rows[:-1]), (actor.copy(), rows)):
-            with pytest.raises(ContractViolation, match="actor_pass"):
-                sac.actor_loss(rows, ens, actor, 0.2, hyper(), rng=np.random.default_rng(3), actor_pass=nn.forward(net, x))
 
 
 class TestLossPeaks:
