@@ -1077,6 +1077,29 @@ class TestTwinPasses:
             assert str(split.value) == str(whole.value)
             assert threading.active_count() == before
 
+    def test_fault_in_second_network_raises_the_single_pass_message(self, lanes, monkeypatch):
+        # twin critics run their split passes in turn: after the first
+        # network's halves ran clean, a fault in the second reads as the
+        # second's unsplit pass, and no worker is left behind
+        rng = np.random.default_rng(42)
+        a, b = (random_net(rng, in_dim=5, hidden=8, out_dim=3) for _ in range(2))
+        x = rng.standard_normal((4, 5))
+        b.blocks[-1].b[0] = np.nan
+        monkeypatch.setattr(nn, "_BOTH_MIN_WORK", 1 << 62)
+        with pytest.raises(NumericFault) as single:
+            nn.forward(b, x)
+        ya, _ = nn.forward(a, x)
+        monkeypatch.setattr(nn, "_BOTH_MIN_WORK", 0)
+        before = threading.active_count()
+        za, _ = nn.forward(a, x)
+        assert _same_bits(za, ya)
+        with pytest.raises(NumericFault) as split:
+            nn.forward(b, x)
+        assert str(split.value) == str(single.value)
+        assert threading.active_count() == before
+        # the lane is free again for the next pass
+        assert _same_bits(nn.forward(a, x)[0], ya)
+
     def test_first_half_error_wins_when_both_fail(self, lanes, monkeypatch):
         rng = np.random.default_rng(43)
         net = random_net(rng, in_dim=5, hidden=8, out_dim=3)
@@ -1140,14 +1163,45 @@ class TestWorkerLane:
         me = threading.get_ident()
         assert sorted(t != me for t in seen) == ([False, True] if gate == 0 else [False])
 
-    @pytest.mark.parametrize("name", ["forward", "backward"])
+    def test_pair_first_keeps_its_weight_gradients(self, monkeypatch):
+        # of the two halves of a split backward, the first (on the calling
+        # thread) adds into arena.grads and the worker's into a zeroed spare,
+        # added after the join; the pair starts no third thread
+        monkeypatch.setattr(nn, "_BOTH_MIN_WORK", 0)
+        rng = np.random.default_rng(81)
+        net = random_net(rng, in_dim=5, hidden=8, out_dim=3)
+        net.arena.grads[:] = rng.standard_normal(net.n_params())
+        x, g = rng.standard_normal((5, 5)), rng.standard_normal((5, 3))
+        _, tape = nn.forward(net, x)
+        me, real, seen = threading.get_ident(), nn._backward, {}
+        before = threading.active_count()
+
+        def recording(net_, records, g_, grads, out):
+            mine = threading.get_ident() == me
+            seen[mine] = (g_.shape[0], grads, grads.any(), threading.active_count())
+            real(net_, records, g_, grads, out)
+            if mine:
+                seen["after_first"] = net.arena.grads.copy()
+
+        monkeypatch.setattr(nn, "_backward", recording)
+        nn.backward(net, tape, g)
+        (rows_a, grads_a, _, n_a), (rows_b, spare, spare_live, n_b) = seen[True], seen[False]
+        assert (rows_a, rows_b) == (2, 3)
+        assert grads_a is net.arena.grads
+        assert spare is not net.arena.grads and not np.shares_memory(spare, net.arena.grads)
+        assert not spare_live and spare.any()
+        assert _same_bits(net.arena.grads, seen["after_first"] + spare)
+        assert max(n_a, n_b) <= before + 1 and threading.active_count() == before
+
+    @pytest.mark.parametrize("name", ["forward", "backward", "weight_grads"])
     def test_worker_error_reaches_the_caller(self, name, monkeypatch):
         monkeypatch.setattr(nn, "_BOTH_MIN_WORK", 0)
         rng = np.random.default_rng(83)
         net = random_net(rng, in_dim=5, hidden=8, out_dim=3)
         x = rng.standard_normal((4, 5))
         _, tape = nn.forward(net, x)
-        private = "_run" if name == "forward" else "_backward"
+        # "weight_grads" fails while the worker's half forms its weight gradients
+        private = {"forward": "_run", "backward": "_backward", "weight_grads": "_grad_views"}[name]
         real, me = getattr(nn, private), threading.get_ident()
 
         def failing_on_the_worker(*args):

@@ -454,9 +454,11 @@ class TestTwinThreads:
         assert threaded[2][4].any() and threaded[2][5].any()  # the actor and q1 gradients are live
 
 
-class TestCriticLossFaults:
-    """``critic_loss`` checks q1's half of the loss before q1's backward and
-    the whole loss before q2's, with passes split or whole."""
+class TestStaggeredLanes:
+    """``critic_loss`` staggers the twin critics rather than pairing their
+    passes: q1's forward, loss check and backward all run before q2's
+    forward.  It checks q1's half of the loss before q1's backward and the
+    whole loss before q2's, with passes split over both lanes or whole."""
 
     @staticmethod
     def _setup(seed):
