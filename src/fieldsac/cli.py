@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 configuration error, 2 numeric fault,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .config import load_config
@@ -31,12 +30,6 @@ def _parse_overrides(pairs: list[str]) -> dict:
             raise ConfigError(f"expected an override flag, got {flag!r}")
         out[flag[2:].replace("-", "_")] = value
     return out
-
-
-def _require(path: str, what: str, hint: str) -> str:
-    if not os.path.exists(path):
-        raise ConfigError(f"{what} not found at {path}; expected {hint}")
-    return path
 
 
 def cmd_pretrain(args, overrides) -> int:
@@ -63,8 +56,6 @@ def cmd_distill(args, overrides) -> int:
 
     if overrides:
         raise ConfigError(f"unknown flags for distill: {sorted(overrides)}")
-    _require(os.path.join(args.teacher, "meta.txt"), "teacher checkpoint", f"{args.teacher}/meta.txt (from `fieldsac pretrain`)")
-    _require(os.path.join(args.replay, "replay.manifest"), "replay snapshot", f"{args.replay}/replay.manifest (from `fieldsac pretrain`)")
     dcfg = DistillConfig(
         student_hidden=args.student_hidden,
         batch=args.batch,
@@ -95,7 +86,6 @@ def cmd_finetune(args, overrides) -> int:
     cfg = load_config(args.config, overrides)
     if cfg.stage != "finetune":
         raise ConfigError("the finetune subcommand requires stage = finetune")
-    _require(os.path.join(args.student, "meta.txt"), "student checkpoint", f"{args.student}/meta.txt (from `fieldsac distill`)")
     bundle = pipeline.load_checkpoint(args.student)
     res = pipeline.train_stage(cfg, args.out, resume_actor=bundle.actor, resume_ensemble=bundle.ensemble)
     print(f"saved checkpoint to {res.checkpoint_dir}")
@@ -110,7 +100,6 @@ def cmd_eval(args, overrides) -> int:
 
     if overrides:
         raise ConfigError(f"unknown flags for eval: {sorted(overrides)}")
-    _require(os.path.join(args.checkpoint, "meta.txt"), "checkpoint", f"{args.checkpoint}/meta.txt")
     bundle = pipeline.load_checkpoint(args.checkpoint)
     obs_mode = "teacher" if bundle.stage == "pretrain" else "student"
     report = pipeline.evaluate(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import Manifest, parse_pairs
 from .errors import ConfigError
 from .replay import SEG_LEN, SEG_STRIDE
 from .rewards import FINETUNE_WEIGHTS, PRETRAIN_WEIGHTS
@@ -166,34 +167,23 @@ def _coerce(key: str, raw: str):
 
 def parse_config_text(text: str) -> dict:
     """Parse `key = value` lines; '#' starts a comment."""
-    values: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"config line {lineno} is not 'key = value': {line!r}")
-        key, _, raw = line.partition("=")
-        key = key.strip()
+    return _typed(parse_pairs(text, "config"))
+
+
+def _typed(pairs: dict) -> dict:
+    """The values of known config keys, strings coerced to the field's type."""
+    values = {}
+    for key, raw in pairs.items():
         if key not in _FIELDS:
             raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _coerce(key, raw)
+        values[key] = _coerce(key, raw) if isinstance(raw, str) else raw
     return values
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> TrainConfig:
     """Build a TrainConfig from an optional file plus override strings."""
-    values: dict = {}
-    if path is not None:
-        try:
-            with open(path) as f:
-                values.update(parse_config_text(f.read()))
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path} (expected a 'key = value' text file)")
-    for key, raw in (overrides or {}).items():
-        if key not in _FIELDS:
-            raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _coerce(key, raw) if isinstance(raw, str) else raw
+    values = _typed(Manifest(path, "config file").pairs) if path is not None else {}
+    values.update(_typed(overrides or {}))
     return TrainConfig(**values)
 
 

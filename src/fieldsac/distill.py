@@ -107,7 +107,6 @@ def distill_step(
     rng: np.random.Generator,
     cfg: DistillConfig,
     weights: np.ndarray,
-    field_noise: np.ndarray | None = None,
     apply_updates: bool = True,
     step_index: int = 0,
 ) -> DistillStepResult:
@@ -122,8 +121,7 @@ def distill_step(
     obs_dim = teacher_actor.in_dim
     if states.shape[1] != obs_dim:
         raise ConfigError(f"states of width {states.shape[1]} do not match the teacher obs dim {obs_dim}")
-    if field_noise is None:
-        field_noise = rng.normal(0.0, cfg.noise_std, size=(B, cfg.field_dim))
+    field_noise = rng.normal(0.0, cfg.noise_std, size=(B, cfg.field_dim))
 
     student_in = np.concatenate([states, field_noise], axis=1)
     s_out, s_tape = nn.forward(student_actor, student_in)
@@ -208,12 +206,10 @@ def _fit_critic(
 class DistillReport:
     mean_kl: float
     max_action_deviation: float
-    kl_threshold: float
-    action_threshold: float
 
     @property
     def passed(self) -> bool:
-        return self.mean_kl < self.kl_threshold and self.max_action_deviation < self.action_threshold
+        return self.mean_kl < 0.05 and self.max_action_deviation < 0.05
 
 
 def verify_distillation(
@@ -221,10 +217,9 @@ def verify_distillation(
     teacher_actor: nn.Network,
     holdout_states: np.ndarray,
     field_dim: int,
-    kl_threshold: float = 0.05,
-    action_threshold: float = 0.05,
 ) -> DistillReport:
-    """Mean KL and max deterministic-action gap on held-out states.
+    """Mean KL and max deterministic-action gap on held-out states; the
+    report passes when both lie below 0.05.
 
     The student sees a zero field input, mirroring how the teacher never
     observed the field at all.
@@ -237,7 +232,7 @@ def verify_distillation(
     t_head, _ = policy.head_from_output(t_out)
     mean_kl = float(policy.kl_diag_gaussian(s_head, t_head).mean())
     dev = float(np.max(np.abs(policy.deterministic_action(s_head) - policy.deterministic_action(t_head))))
-    return DistillReport(mean_kl, dev, kl_threshold, action_threshold)
+    return DistillReport(mean_kl, dev)
 
 
 def network_fingerprint(net: nn.Network) -> bytes:
@@ -252,7 +247,6 @@ def run_distillation(
     weights: np.ndarray,
     cfg: DistillConfig,
     metrics_path: str | None = None,
-    log_every: int = 100,
 ) -> tuple[nn.Network, VectorCritic, list[DistillStepResult]]:
     """Full distillation loop over uniformly sampled stored states.
 
@@ -276,7 +270,7 @@ def run_distillation(
         recent.append(res.kl_loss)
         if len(recent) > 50:
             recent.pop(0)
-        if (step % log_every) == 0 or step == cfg.max_steps - 1:
+        if (step % 100) == 0 or step == cfg.max_steps - 1:
             rows.append(f"{step},{res.kl_loss!r},{res.q_loss!r}")
         if len(recent) == 50 and float(np.mean(recent)) < cfg.kl_stop:
             rows.append(f"{step},{res.kl_loss!r},{res.q_loss!r}")

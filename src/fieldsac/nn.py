@@ -67,7 +67,6 @@ names the first layer whose output stopped being finite.
 
 from __future__ import annotations
 
-import sys
 import threading
 from dataclasses import dataclass
 from functools import partial
@@ -76,6 +75,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import artifacts
 from .errors import ConfigError, ContractViolation, NumericFault
 
 LAYER_KINDS = ("linear", "layer_norm", "elu", "relu", "residual_begin", "residual_end")
@@ -776,21 +776,18 @@ def save_network(net: Network, prefix: str, with_optimizer: bool = False) -> tup
     row-major, then bias), optionally followed by the Adam state.  The
     round trip is bit-exact.
     """
-    lines = [
-        f"format = {_MANIFEST_FORMAT}",
-        "dtype = float64-le",
-        f"num_layers = {len(net.specs)}",
-        f"with_optimizer = {int(with_optimizer)}",
-    ]
+    pairs = {
+        "format": _MANIFEST_FORMAT,
+        "dtype": "float64-le",
+        "num_layers": len(net.specs),
+        "with_optimizer": int(with_optimizer),
+    }
     for i, spec in enumerate(net.specs):
-        lines.append(f"layer.{i} = {spec.kind} {spec.in_dim} {spec.out_dim}")
+        pairs[f"layer.{i}"] = f"{spec.kind} {spec.in_dim} {spec.out_dim}"
     man_path, bin_path = prefix + ".manifest", prefix + ".bin"
-    with open(man_path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    artifacts.write_manifest(man_path, pairs)
     steps = np.full(len(net.param_blocks()), float(net.arena.step_count))
-    with open(bin_path, "wb") as f:
-        for part in _blob_parts(net, with_optimizer, steps):
-            f.write(part.astype("<f8", copy=False).data)
+    artifacts.write_blob(bin_path, _blob_parts(net, with_optimizer, steps))
     return man_path, bin_path
 
 
@@ -806,37 +803,20 @@ def _blob_parts(net: Network, with_optimizer: bool, steps: np.ndarray) -> list[n
     return parts
 
 
+def _layer_spec(raw: str) -> LayerSpec:
+    kind, in_dim, out_dim = raw.split()
+    return LayerSpec(kind, int(in_dim), int(out_dim))
+
+
 def load_network(prefix: str) -> Network:
-    man_path, bin_path = prefix + ".manifest", prefix + ".bin"
-    kv: dict[str, str] = {}
-    with open(man_path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            kv[key.strip()] = value.strip()
-    if kv.get("format") != _MANIFEST_FORMAT:
-        raise ConfigError(f"unrecognized manifest format in {man_path}")
-    n_layers = int(kv["num_layers"])
-    with_optimizer = bool(int(kv.get("with_optimizer", "0")))
-    specs: list[LayerSpec] = []
-    for i in range(n_layers):
-        kind, in_dim, out_dim = kv[f"layer.{i}"].split()
-        specs.append(LayerSpec(kind, int(in_dim), int(out_dim)))
+    man = artifacts.Manifest(prefix + ".manifest", "network")
+    if man.get("format") != _MANIFEST_FORMAT:
+        raise ConfigError(f"unrecognized manifest format in {man.path}")
+    specs = [man.get(f"layer.{i}", _layer_spec) for i in range(man.get("num_layers", int))]
     net = Network(specs, arena_blocks(specs))
     steps = np.zeros(len(net.param_blocks()))
-    parts = _blob_parts(net, with_optimizer, steps)
-    with open(bin_path, "rb") as f:
-        for part in parts:
-            if f.readinto(part.data.cast("B")) != part.nbytes:
-                raise ConfigError(f"blob in {bin_path} is shorter than the manifest promises")
-        trailing = len(f.read())
-    if trailing:
-        raise ConfigError(f"blob in {bin_path} has {trailing} unexpected trailing bytes")
-    if sys.byteorder == "big":  # the blob is little-endian
-        for part in parts:
-            part.byteswap(inplace=True)
+    bin_path = prefix + ".bin"
+    artifacts.read_blob(bin_path, _blob_parts(net, bool(man.get("with_optimizer", int)), steps))
     counts = set(steps.tolist())  # all zero without the optimizer part
     if len(counts) > 1:
         raise ConfigError(f"blocks in {bin_path} disagree on the Adam step count: {sorted(counts)}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import nn, policy, sac
+from . import artifacts, nn, policy, sac
 from .config import TrainConfig, config_to_text
 from .env import OBS_STUDENT_DIM, OBS_TEACHER_DIM, STATE_DIM, PointMassEnv, StepResult, observe
 from .errors import ConfigError, FieldsacError, NumericFault
@@ -263,7 +263,6 @@ class CheckpointBundle:
     stage: str
     learner_steps: int
     env_steps: int
-    config_text: str
 
 
 def save_checkpoint(
@@ -275,37 +274,36 @@ def save_checkpoint(
     learner_steps: int = 0,
     env_steps: int = 0,
 ) -> str:
-    os.makedirs(directory, exist_ok=True)
+    """Write the five networks, ``meta.txt`` and ``config.txt`` into a fresh
+    ``directory`` that replaces the old one whole, so a failed save leaves it as it was."""
     nets = dict(zip(_CKPT_NETS, (actor, ensemble.q1.net, ensemble.q2.net, ensemble.q1_target.net, ensemble.q2_target.net)))
-    for name, net in nets.items():
-        nn.save_network(net, os.path.join(directory, name), with_optimizer=True)
-    meta = [
-        "format = fieldsac-checkpoint-v1",
-        f"stage = {cfg.stage}",
-        f"log_alpha = {float(log_alpha.value).hex()}",
-        f"alpha_m = {float(log_alpha.m).hex()}",
-        f"alpha_v = {float(log_alpha.v).hex()}",
-        f"alpha_t = {log_alpha.t}",
-        f"learner_steps = {learner_steps}",
-        f"env_steps = {env_steps}",
-    ]
-    with open(os.path.join(directory, "meta.txt"), "w") as f:
-        f.write("\n".join(meta) + "\n")
-    with open(os.path.join(directory, "config.txt"), "w") as f:
-        f.write(config_to_text(cfg))
+    meta = {
+        "format": "fieldsac-checkpoint-v1",
+        "stage": cfg.stage,
+        "log_alpha": float(log_alpha.value).hex(),
+        "alpha_m": float(log_alpha.m).hex(),
+        "alpha_v": float(log_alpha.v).hex(),
+        "alpha_t": log_alpha.t,
+        "learner_steps": learner_steps,
+        "env_steps": env_steps,
+    }
+    with artifacts.replacing_dir(directory) as tmp:
+        for name, net in nets.items():
+            nn.save_network(net, os.path.join(tmp, name), with_optimizer=True)
+        artifacts.write_manifest(os.path.join(tmp, "meta.txt"), meta)
+        with open(os.path.join(tmp, "config.txt"), "w") as f:
+            f.write(config_to_text(cfg))
     return directory
 
 
 def load_checkpoint(directory: str) -> CheckpointBundle:
-    meta_path = os.path.join(directory, "meta.txt")
-    if not os.path.exists(meta_path):
-        raise ConfigError(f"no checkpoint at {directory} (expected {meta_path})")
-    kv = {}
-    with open(meta_path) as f:
-        for line in f:
-            if "=" in line:
-                k, _, v = line.partition("=")
-                kv[k.strip()] = v.strip()
+    meta = artifacts.Manifest(os.path.join(directory, "meta.txt"), "checkpoint")
+    log_alpha = ScalarAdam(
+        value=meta.get("log_alpha", float.fromhex),
+        m=meta.get("alpha_m", float.fromhex),
+        v=meta.get("alpha_v", float.fromhex),
+        t=meta.get("alpha_t", int),
+    )
     nets = {name: nn.load_network(os.path.join(directory, name)) for name in _CKPT_NETS}
     ensemble = CriticEnsemble(
         VectorCritic(nets["q1"]),
@@ -313,25 +311,13 @@ def load_checkpoint(directory: str) -> CheckpointBundle:
         VectorCritic(nets["q1_target"]),
         VectorCritic(nets["q2_target"]),
     )
-    log_alpha = ScalarAdam(
-        value=float.fromhex(kv["log_alpha"]),
-        m=float.fromhex(kv["alpha_m"]),
-        v=float.fromhex(kv["alpha_v"]),
-        t=int(kv["alpha_t"]),
-    )
-    config_text = ""
-    cfg_path = os.path.join(directory, "config.txt")
-    if os.path.exists(cfg_path):
-        with open(cfg_path) as f:
-            config_text = f.read()
     return CheckpointBundle(
         actor=nets["actor"],
         ensemble=ensemble,
         log_alpha=log_alpha,
-        stage=kv.get("stage", "pretrain"),
-        learner_steps=int(kv.get("learner_steps", 0)),
-        env_steps=int(kv.get("env_steps", 0)),
-        config_text=config_text,
+        stage=meta.get("stage"),
+        learner_steps=meta.get("learner_steps", int),
+        env_steps=meta.get("env_steps", int),
     )
 
 
@@ -394,9 +380,6 @@ class EvalReport:
     sink_reach_fraction: float
     mean_speed: float
     direction: float  # radians of the summed displacement
-    per_episode_env_reward: list = field(default_factory=list)
-    per_episode_final_dist: list = field(default_factory=list)
-    per_episode_displacement: list = field(default_factory=list)
 
     def lines(self) -> list[str]:
         out = [
@@ -447,9 +430,6 @@ def evaluate(
         sink_reach_fraction=float(np.mean([d <= SINK_REACH_RADIUS for d in finals])),
         mean_speed=float(np.mean(speeds)),
         direction=float(np.arctan2(disp_sum[1], disp_sum[0])),
-        per_episode_env_reward=[float(x) for x in totals],
-        per_episode_final_dist=[float(x) for x in finals],
-        per_episode_displacement=[d.tolist() for d in disps],
     )
 
 
@@ -531,7 +511,6 @@ def train_stage(
     out_dir: str,
     resume_actor: nn.Network | None = None,
     resume_ensemble: CriticEnsemble | None = None,
-    save_replay: bool | None = None,
 ) -> TrainResult:
     """Run one curriculum stage end to end and save its artifacts.
 
@@ -540,7 +519,6 @@ def train_stage(
     On a numeric fault the current state is checkpointed under
     ``<out_dir>/faulted`` before the fault propagates.
     """
-    os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
     if resume_actor is None:
         actor, ensemble = build_learner_nets(cfg, rng)
@@ -638,7 +616,7 @@ def train_stage(
 
     ckpt_dir = save_checkpoint(os.path.join(out_dir, "checkpoint"), learner.actor, ensemble, learner.log_alpha, cfg, learner.steps, total_env_steps())
     replay_dir = None
-    if save_replay if save_replay is not None else (cfg.stage == "pretrain"):
+    if cfg.stage == "pretrain":
         replay_dir = os.path.join(out_dir, "replay")
         store.save(replay_dir)
     return TrainResult(
@@ -671,9 +649,6 @@ def run_distill_stage(
     replay_dir: str,
     out_dir: str,
     dcfg: "distill_mod.DistillConfig",
-    holdout_fraction: float = 0.1,
-    kl_threshold: float = 0.05,
-    action_threshold: float = 0.05,
 ) -> DistillStageResult:
     """Distill a pretrained teacher into field-aware students.
 
@@ -690,7 +665,7 @@ def run_distill_stage(
     del store
     rng = np.random.default_rng(dcfg.seed)
     perm = rng.permutation(states.shape[0])
-    n_hold = max(1, int(holdout_fraction * states.shape[0]))
+    n_hold = max(1, int(0.1 * states.shape[0]))
     holdout, train_states = states[perm[:n_hold]], states[perm[n_hold:]]
 
     fp_before = distill_mod.network_fingerprint(bundle.actor) + distill_mod.network_fingerprint(bundle.ensemble.q1.net) + distill_mod.network_fingerprint(bundle.ensemble.q2.net)
@@ -699,7 +674,6 @@ def run_distill_stage(
 
     stage_cfg = load_config(overrides={"stage": bundle.stage})
     weights = stage_cfg.weights
-    os.makedirs(out_dir, exist_ok=True)
     student_actor, student_q1, hist1 = distill_mod.run_distillation(
         bundle.actor, bundle.ensemble.q1, train_states, weights, dcfg,
         metrics_path=os.path.join(out_dir, "distill_metrics.csv"),
@@ -716,7 +690,7 @@ def run_distill_stage(
         idx = rng2.integers(0, train_states.shape[0], size=dcfg2.batch)
         distill_mod.distill_critic_only(student_q2, bundle.actor, bundle.ensemble.q2, student_actor, train_states[idx], rng2, dcfg2, weights, step_index=step)
 
-    report = distill_mod.verify_distillation(student_actor, bundle.actor, holdout, dcfg.field_dim, kl_threshold, action_threshold)
+    report = distill_mod.verify_distillation(student_actor, bundle.actor, holdout, dcfg.field_dim)
     fp_after = distill_mod.network_fingerprint(bundle.actor) + distill_mod.network_fingerprint(bundle.ensemble.q1.net) + distill_mod.network_fingerprint(bundle.ensemble.q2.net)
 
     ensemble = CriticEnsemble(student_q1, student_q2, student_q1.copy(), student_q2.copy())

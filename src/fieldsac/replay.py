@@ -26,14 +26,13 @@ the state cannot be recovered exactly and ``load`` refuses them.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifacts
 from .errors import ConfigError, NotReadyError
 from .rewards import NUM_TERMS
 
@@ -446,10 +445,9 @@ class PrioritizedStore:
     # -- snapshot: text manifest + one float64 little-endian blob ----------
 
     def save(self, directory: str) -> tuple[str, str]:
-        """Write ``replay.bin``, then ``replay.manifest``.  Each goes to a
-        temporary file in ``directory`` first and is ``os.replace``d into
-        place, so a crash while writing leaves the previous file whole."""
-        os.makedirs(directory, exist_ok=True)
+        """Write ``replay.bin`` and ``replay.manifest`` into a fresh ``directory``
+        that replaces the old one whole, so a crash while saving leaves the
+        previous snapshot as it was."""
         meta = {
             "format": REPLAY_FORMAT,
             "capacity": self.capacity,
@@ -467,71 +465,50 @@ class PrioritizedStore:
             "evicted_total": self.evicted_total,
             "max_raw": repr(self._max_raw),
         }
-        man_path = os.path.join(directory, "replay.manifest")
-        bin_path = os.path.join(directory, "replay.bin")
-        with _replacing(bin_path) as f:
-            for part in self._blob_parts():
-                f.write(part.astype("<f8", copy=False).data)
-        with _replacing(man_path) as f:
-            f.write(("\n".join(f"{k} = {v}" for k, v in meta.items()) + "\n").encode())
-        return man_path, bin_path
+        with artifacts.replacing_dir(directory) as tmp:
+            artifacts.write_blob(os.path.join(tmp, "replay.bin"), self._blob_parts())
+            artifacts.write_manifest(os.path.join(tmp, "replay.manifest"), meta)
+        return os.path.join(directory, "replay.manifest"), os.path.join(directory, "replay.bin")
 
     def _blob_parts(self) -> tuple[np.ndarray, ...]:
         return self._rec[: self._size], self._raw_p[: self._size], self._gen[: self._size]
 
     @classmethod
     def load(cls, directory: str) -> "PrioritizedStore":
-        man_path = os.path.join(directory, "replay.manifest")
-        bin_path = os.path.join(directory, "replay.bin")
-        if not os.path.exists(man_path):
-            raise ConfigError(f"no replay snapshot at {man_path}")
-        kv = {}
-        with open(man_path) as f:
-            for line in f:
-                if "=" in line:
-                    k, _, v = line.partition("=")
-                    kv[k.strip()] = v.strip()
-        fmt = kv.get("format")
+        man = artifacts.Manifest(os.path.join(directory, "replay.manifest"), "replay snapshot")
+        fmt = man.get("format")
         if fmt == "fieldsac-replay-v1":
             raise ConfigError(
-                f"{man_path} is a fieldsac-replay-v1 snapshot, which this version cannot read: its rows hold "
+                f"{man.path} is a fieldsac-replay-v1 snapshot, which this version cannot read: its rows hold "
                 f"observations with the position scaled by 0.1, so the env state rows of {REPLAY_FORMAT} cannot be "
                 "recovered exactly; re-run the stage that saved it"
             )
         if fmt != REPLAY_FORMAT:
             raise ConfigError(f"unrecognized replay snapshot format {fmt!r}")
         store = cls(
-            capacity=int(kv["capacity"]),
-            alpha=float(kv["alpha"]),
-            beta=float(kv["beta"]),
-            eta=float(kv["eta"]),
-            priority_floor=float(kv["priority_floor"]),
-            seg_len=int(kv["seg_len"]),
-            n_tail=int(kv["n_tail"]),
+            capacity=man.get("capacity", int),
+            alpha=man.get("alpha", float),
+            beta=man.get("beta", float),
+            eta=man.get("eta", float),
+            priority_floor=man.get("priority_floor", float),
+            seg_len=man.get("seg_len", int),
+            n_tail=man.get("n_tail", int),
         )
-        size, next_slot = int(kv["size"]), int(kv["next"])
+        size, next_slot = man.get("size", int), man.get("next", int)
         if not 0 <= size <= store.capacity:
             raise ConfigError(f"replay manifest size {size} lies outside [0, capacity {store.capacity}]")
         if not 0 <= next_slot < store.capacity:
             raise ConfigError(f"replay manifest next {next_slot} lies outside [0, capacity {store.capacity})")
         if size < store.capacity and next_slot != size:
             raise ConfigError(f"replay manifest next {next_slot} must equal size {size} while the ring is not full")
-        store._widths = (int(kv["obs_dim"]), int(kv["act_dim"]))
+        store._widths = (man.get("obs_dim", int), man.get("act_dim", int))
         store._grow(size)
         store._size = size
-        with open(bin_path, "rb") as f:
-            for part in store._blob_parts():
-                if f.readinto(part) != part.nbytes:
-                    raise ConfigError("replay snapshot blob is truncated")
-            if f.read(1):
-                raise ConfigError("replay snapshot blob has trailing data")
-        if sys.byteorder == "big":  # the blob is little-endian
-            for part in store._blob_parts():
-                part.byteswap(inplace=True)
+        artifacts.read_blob(os.path.join(directory, "replay.bin"), list(store._blob_parts()))
         store._next = next_slot
-        store._max_raw = float(kv["max_raw"])
-        store.appended_total = int(kv["appended_total"])
-        store.evicted_total = int(kv["evicted_total"])
+        store._max_raw = man.get("max_raw", float)
+        store.appended_total = man.get("appended_total", int)
+        store.evicted_total = man.get("evicted_total", int)
         leaves = np.zeros(store.capacity)
         leaves[:size] = store._raw_p[:size] ** store.alpha
         store._tree.rebuild(leaves)
@@ -545,17 +522,3 @@ class PrioritizedStore:
         obs, _, _, _, keys = self._fields(self._rec[: self._size])
         return obs[:, : self.seg_len][np.arange(self.seg_len) < keys[:, 2:]]
 
-
-@contextlib.contextmanager
-def _replacing(path: str):
-    """A binary file that replaces ``path`` only once it is fully written;
-    on an error the temporary file is removed and ``path`` is untouched."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise

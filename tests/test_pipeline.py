@@ -1,4 +1,5 @@
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -38,6 +39,28 @@ def fresh_setup(cfg, seed=0):
     learner = pipeline.Learner(cfg, store, hub, actor, ens)
     samplers = [pipeline.Sampler(i, cfg, store, hub) for i in range(cfg.num_samplers)]
     return store, hub, learner, samplers
+
+
+@pytest.fixture(scope="module")
+def artifact_dirs(tmp_path_factory):
+    """A teacher checkpoint and a two-segment replay snapshot, as the CLI reads them."""
+    base = tmp_path_factory.mktemp("artifacts")
+    cfg = tiny_cfg()
+    actor, ens = pipeline.build_learner_nets(cfg, np.random.default_rng(0))
+    teacher = pipeline.save_checkpoint(str(base / "teacher"), actor, ens, sac.ScalarAdam(value=0.0), cfg)
+    store, _, _, samplers = fresh_setup(cfg)
+    while len(store) < 2:
+        samplers[0].tick()
+    store.save(str(base / "replay"))
+    return {"teacher": teacher, "replay": str(base / "replay")}
+
+
+def _artifact_argv(command, dirs, out):
+    return {
+        "eval": ["eval", "--checkpoint", dirs["teacher"]],
+        "finetune": ["finetune", "--student", dirs["teacher"], "--out", out],
+        "distill": ["distill", "--teacher", dirs["teacher"], "--replay", dirs["replay"], "--out", out],
+    }[command]
 
 
 class TestSampler:
@@ -262,6 +285,32 @@ class TestCheckpoint:
     def test_missing_checkpoint_message_names_path(self, tmp_path):
         with pytest.raises(ConfigError, match="meta.txt"):
             pipeline.load_checkpoint(str(tmp_path / "nope"))
+
+    def test_save_that_fails_partway_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg()
+        actor, ens = pipeline.build_learner_nets(cfg, np.random.default_rng(0))
+        d = pipeline.save_checkpoint(str(tmp_path / "ck"), actor, ens, sac.ScalarAdam(value=0.0), cfg, 1, 2)
+        before = pipeline.checkpoint_fingerprint(d)
+        new_actor, new_ens = pipeline.build_learner_nets(cfg, np.random.default_rng(1))
+        real, calls = nn.save_network, []
+
+        def third_fails(*args, **kwargs):
+            calls.append(args[1])
+            if len(calls) == 3:
+                raise OSError("No space left on device")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nn, "save_network", third_fails)
+        with pytest.raises(OSError, match="No space"):
+            pipeline.save_checkpoint(d, new_actor, new_ens, sac.ScalarAdam(value=1.0), cfg, 3, 4)
+        monkeypatch.undo()
+        assert len(calls) == 3
+        assert pipeline.checkpoint_fingerprint(d) == before
+        assert os.listdir(tmp_path) == ["ck"]
+        assert pipeline.load_checkpoint(d).learner_steps == 1
+        pipeline.save_checkpoint(d, new_actor, new_ens, sac.ScalarAdam(value=1.0), cfg, 3, 4)
+        assert pipeline.load_checkpoint(d).learner_steps == 3
+        assert os.listdir(tmp_path) == ["ck"]
 
 
 class TestEvaluate:
@@ -490,6 +539,63 @@ class TestCli:
         rc = cli.main(["eval", "--checkpoint", str(tmp_path / "nope")])
         assert rc == 1
         assert "meta.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, missing, name",
+        [
+            ("eval", "teacher", "meta.txt"),
+            ("finetune", "teacher", "meta.txt"),
+            ("distill", "teacher", "meta.txt"),
+            ("distill", "replay", "replay.manifest"),
+        ],
+    )
+    def test_missing_artifact_exit_one(self, artifact_dirs, tmp_path, capsys, command, missing, name):
+        dirs = dict(artifact_dirs, **{missing: str(tmp_path / "nope")})
+        rc = cli.main(_artifact_argv(command, dirs, str(tmp_path / "out")))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and os.path.join(dirs[missing], name) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, name, key, value",
+        [
+            ("eval", "meta.txt", "alpha_t", None),
+            ("finetune", "meta.txt", "learner_steps", "zz"),
+            ("distill", "meta.txt", "log_alpha", "zz"),
+            ("eval", "meta.txt", "log_alpha", ""),
+            ("finetune", "meta.txt", "log_alpha", ""),
+            ("distill", "meta.txt", "log_alpha", ""),
+            ("eval", "actor.manifest", "num_layers", None),
+            ("finetune", "q1.manifest", "layer.1", "zz"),
+            ("distill", "q2_target.manifest", "with_optimizer", "zz"),
+            ("distill", "replay.manifest", "capacity", None),
+            ("distill", "replay.manifest", "alpha", "zz"),
+        ],
+    )
+    def test_damaged_manifest_exit_one(self, artifact_dirs, tmp_path, capsys, command, name, key, value):
+        """A key that is missing (None), malformed ("zz") or in an empty
+        file ("") exits 1 naming the file and the key."""
+        dirs = {}
+        for role, src in artifact_dirs.items():
+            dirs[role] = str(tmp_path / role)
+            shutil.copytree(src, dirs[role])
+        path = os.path.join(dirs["replay" if name == "replay.manifest" else "teacher"], name)
+        with open(path) as f:
+            lines = f.read().splitlines()
+        if value == "":
+            lines = []
+        elif value is None:
+            lines = [ln for ln in lines if ln.partition("=")[0].strip() != key]
+        else:
+            lines = [f"{key} = {value}" if ln.partition("=")[0].strip() == key else ln for ln in lines]
+        with open(path, "w") as f:
+            f.write("".join(ln + "\n" for ln in lines))
+        rc = cli.main(_artifact_argv(command, dirs, str(tmp_path / "out")))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and path in err and repr(key) in err
+        assert not (tmp_path / "out").exists()
 
     def test_pretrain_eval_round_trip(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"

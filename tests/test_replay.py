@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from fieldsac import artifacts
 from fieldsac.errors import ConfigError, NotReadyError
 from fieldsac.replay import (
     SEG_LEN,
@@ -516,6 +517,29 @@ class TestPrioritizedStore:
         store.save(str(tmp_path))  # a save that completes replaces both files
         assert len(PrioritizedStore.load(str(tmp_path))) == 5
         assert sorted(os.listdir(tmp_path)) == ["replay.bin", "replay.manifest"]
+
+    def test_save_replaces_blob_and_manifest_as_one_unit(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(32)
+        store = PrioritizedStore(capacity=8)
+        for _ in range(3):
+            store.append(make_segment(rng), priority=1.0)
+        directory = str(tmp_path / "replay")
+        man_path, bin_path = store.save(directory)
+        with open(man_path, "rb") as f, open(bin_path, "rb") as g:
+            before = f.read(), g.read()
+        store.append(make_segment(rng), priority=2.0)
+
+        def no_manifest(path, pairs):  # the new blob is whole, then the manifest write fails
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(artifacts, "write_manifest", no_manifest)
+        with pytest.raises(OSError, match="No space"):
+            store.save(directory)
+        monkeypatch.undo()
+        with open(man_path, "rb") as f, open(bin_path, "rb") as g:
+            assert (f.read(), g.read()) == before
+        assert os.listdir(tmp_path) == ["replay"]
+        assert len(PrioritizedStore.load(directory)) == 3
 
     def test_load_refuses_v1_snapshots_naming_the_format(self, tmp_path):
         store = PrioritizedStore(capacity=4)
