@@ -52,6 +52,17 @@ class Manifest:
             raise ConfigError(f"{self.path}: {key!r} has a malformed value {self.pairs[key]!r}") from None
 
 
+def one_of(*choices: str):
+    """A ``Manifest.get`` parser that accepts only ``choices``."""
+
+    def parse(value: str) -> str:
+        if value not in choices:
+            raise ValueError(value)
+        return value
+
+    return parse
+
+
 def write_manifest(path: str, pairs: dict) -> None:
     with open(path, "w") as f:
         f.write("".join(f"{key} = {value}\n" for key, value in pairs.items()))

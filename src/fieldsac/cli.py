@@ -6,6 +6,12 @@ turns that into field-aware students, ``finetune`` resumes from the
 students on the target-following task, ``eval`` reports a checkpoint's
 behaviour, and ``check`` runs the oracle/invariant suite.
 
+The training stages read their settings one way: each leftover
+``--key value`` pair (hyphens read as underscores) sets a key of the
+stage's record, ``TrainConfig`` for pretrain and finetune and
+``DistillConfig`` for distill, and ``config`` types and checks it.
+``--lr`` is the one alias: it sets distill's two rates.
+
 Exit codes: 0 success, 1 configuration error, 2 numeric fault,
 3 check-suite failure.
 """
@@ -15,7 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import load_config
+from .config import TrainConfig, load_config
 from .errors import ConfigError, FieldsacError, NumericFault
 from .rewards import EnvRewardConfig
 
@@ -32,15 +38,18 @@ def _parse_overrides(pairs: list[str]) -> dict:
     return out
 
 
+def _stage_config(args, overrides, stage: str, **defaults) -> TrainConfig:
+    """The config file plus overrides, with ``stage`` and ``defaults`` set unless overridden."""
+    cfg = load_config(args.config, {"stage": stage, **defaults, **overrides})
+    if cfg.stage != stage:
+        raise ConfigError(f"the {stage} subcommand requires stage = {stage}")
+    return cfg
+
+
 def cmd_pretrain(args, overrides) -> int:
     from . import pipeline
 
-    overrides = dict(overrides)
-    overrides.setdefault("stage", "pretrain")
-    cfg = load_config(args.config, overrides)
-    if cfg.stage != "pretrain":
-        raise ConfigError("the pretrain subcommand requires stage = pretrain")
-    res = pipeline.train_stage(cfg, args.out)
+    res = pipeline.train_stage(_stage_config(args, overrides, "pretrain"), args.out)
     print(f"saved checkpoint to {res.checkpoint_dir}")
     if res.replay_dir:
         print(f"saved replay snapshot to {res.replay_dir}")
@@ -54,19 +63,10 @@ def cmd_distill(args, overrides) -> int:
     from . import pipeline
     from .distill import DistillConfig
 
-    if overrides:
-        raise ConfigError(f"unknown flags for distill: {sorted(overrides)}")
-    dcfg = DistillConfig(
-        student_hidden=args.student_hidden,
-        batch=args.batch,
-        lr_actor=args.lr,
-        lr_critic=args.lr,
-        max_steps=args.max_steps,
-        kl_stop=args.kl_stop,
-        lr_decay_step=args.lr_decay_step,
-        noise_std=args.noise_std,
-        seed=args.seed,
-    )
+    lr = overrides.pop("lr", None)
+    if lr is not None:  # the one alias: --lr sets both rates
+        overrides = {"lr_actor": lr, "lr_critic": lr, **overrides}
+    dcfg = load_config(overrides=overrides, record=DistillConfig)
     res = pipeline.run_distill_stage(args.teacher, args.replay, args.out, dcfg)
     print(f"saved student checkpoint to {res.checkpoint_dir}")
     print(f"saved distillation metrics to {res.metrics_path}")
@@ -80,12 +80,7 @@ def cmd_distill(args, overrides) -> int:
 def cmd_finetune(args, overrides) -> int:
     from . import pipeline
 
-    overrides = dict(overrides)
-    overrides.setdefault("stage", "finetune")
-    overrides.setdefault("difficulty", "2")
-    cfg = load_config(args.config, overrides)
-    if cfg.stage != "finetune":
-        raise ConfigError("the finetune subcommand requires stage = finetune")
+    cfg = _stage_config(args, overrides, "finetune", difficulty="2")
     bundle = pipeline.load_checkpoint(args.student)
     res = pipeline.train_stage(cfg, args.out, resume_actor=bundle.actor, resume_ensemble=bundle.ensemble)
     print(f"saved checkpoint to {res.checkpoint_dir}")
@@ -98,17 +93,15 @@ def cmd_finetune(args, overrides) -> int:
 def cmd_eval(args, overrides) -> int:
     from . import pipeline
 
-    if overrides:
-        raise ConfigError(f"unknown flags for eval: {sorted(overrides)}")
     bundle = pipeline.load_checkpoint(args.checkpoint)
-    obs_mode = "teacher" if bundle.stage == "pretrain" else "student"
+    stage = TrainConfig(stage=bundle.stage)  # the checkpoint stage's observations and rewards
     report = pipeline.evaluate(
-        pipeline.NetPolicy(bundle.actor, obs_mode),
+        pipeline.NetPolicy(bundle.actor, stage.obs_mode),
         difficulty=args.difficulty,
         episodes=args.episodes,
         seed=args.seed,
-        reward_cfg=EnvRewardConfig(w_vel=0.0 if bundle.stage == "pretrain" else 1.0),
-        directional_pvb=bundle.stage != "pretrain",
+        reward_cfg=EnvRewardConfig(w_vel=stage.effective_env_w_vel),
+        directional_pvb=stage.directional_pvb,
         record_dir=args.record_dir,
     )
     for line in report.lines():
@@ -119,8 +112,6 @@ def cmd_eval(args, overrides) -> int:
 def cmd_check(args, overrides) -> int:
     from . import checks
 
-    if overrides:
-        raise ConfigError(f"unknown flags for check: {sorted(overrides)}")
     return 0 if checks.run_all(verbose=True) else 3
 
 
@@ -132,18 +123,10 @@ def build_parser() -> argparse.ArgumentParser:
     pre.add_argument("--config", default=None, help="key = value config file")
     pre.add_argument("--out", required=True, help="output directory")
 
-    dis = sub.add_parser("distill", help="distill a teacher checkpoint into field-aware students")
+    dis = sub.add_parser("distill", help="distill a teacher into field-aware students; any DistillConfig key is overridable via --key value")
     dis.add_argument("--teacher", required=True, help="teacher checkpoint directory")
     dis.add_argument("--replay", required=True, help="replay snapshot directory")
     dis.add_argument("--out", required=True)
-    dis.add_argument("--student-hidden", type=int, default=1024)
-    dis.add_argument("--batch", type=int, default=128)
-    dis.add_argument("--lr", type=float, default=1e-4)
-    dis.add_argument("--max-steps", type=int, default=20000)
-    dis.add_argument("--kl-stop", type=float, default=1e-3)
-    dis.add_argument("--lr-decay-step", type=int, default=0)
-    dis.add_argument("--noise-std", type=float, default=0.1)
-    dis.add_argument("--seed", type=int, default=0)
 
     fin = sub.add_parser("finetune", help="resume from a student checkpoint with an empty replay")
     fin.add_argument("--config", default=None)
@@ -167,6 +150,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args, leftover = parser.parse_known_args(argv)
         overrides = _parse_overrides(leftover)
+        if overrides and args.command in ("eval", "check"):
+            raise ConfigError(f"unknown flags for {args.command}: {sorted(overrides)}")
         handler = {
             "pretrain": cmd_pretrain,
             "distill": cmd_distill,

@@ -10,17 +10,33 @@ speed bonus directional.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .artifacts import Manifest, parse_pairs
+from .env import ACT_DIM, DIFFICULTIES, STATE_DIM
 from .errors import ConfigError
-from .replay import SEG_LEN, SEG_STRIDE
+from .replay import SEG_LEN, SEG_STRIDE, record_width
 from .rewards import FINETUNE_WEIGHTS, PRETRAIN_WEIGHTS
 
 STAGES = ("pretrain", "finetune")
+
+
+def require(cfg, keys, ok, what: str) -> None:
+    """Raise a ``ConfigError`` naming the first of ``keys`` whose value in
+    ``cfg`` fails ``ok``: "<key> must <what>, not <value>"."""
+    for key in keys:
+        value = getattr(cfg, key)
+        if not ok(value):
+            raise ConfigError(f"{key} must {what}, not {value!r}")
+
+
+def require_finite(cfg) -> None:
+    """Every float key of the record ``cfg`` must be finite."""
+    require(cfg, [f.name for f in dataclasses.fields(cfg) if f.type in ("float", float)], math.isfinite, "be finite")
 
 
 @dataclass
@@ -62,32 +78,22 @@ class TrainConfig:
         self.validate()
 
     def validate(self) -> None:
-        if self.stage not in STAGES:
-            raise ConfigError(f"stage must be one of {STAGES}, not {self.stage!r}")
-        if self.difficulty not in (0, 1, 2, 3):
-            raise ConfigError(f"difficulty must be 0..3, not {self.difficulty}")
-        for key in ("num_samplers", "hidden", "batch", "publish_every", "n_step", "capacity", "horizon", "total_env_steps", "epoch_env_steps"):
-            if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be positive")
+        require_finite(self)
+        require(self, ["stage"], STAGES.__contains__, f"be one of {STAGES}")
+        require(self, ["difficulty"], DIFFICULTIES.__contains__, f"be one of {DIFFICULTIES}")
+        positive_ints = ["num_samplers", "hidden", "batch", "publish_every", "n_step", "capacity", "horizon"]
+        positive_ints += ["total_env_steps", "epoch_env_steps", "anneal_steps", "eval_episodes"]
+        require(self, positive_ints, lambda v: v >= 1, "be at least 1")
+        require(self, ["seed", "min_store_segments", "stop_at_eval_speed", "stop_at_sink_fraction"], lambda v: v >= 0, "be at least 0")
+        require(self, ["gamma"], lambda v: 0.0 < v < 1.0, "lie in (0, 1)")
+        require(self, ["tau"], lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
+        require(self, ["eta", "anneal_start", "anneal_end"], lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+        require(self, ["replay_ratio", "lr_actor", "lr_critic", "lr_alpha", "init_alpha", "rescale_eps"], lambda v: v > 0.0, "be positive")
         if self.horizon < SEG_LEN // 2:
             raise ConfigError(
                 f"horizon ({self.horizon}) is below {SEG_LEN // 2}: an episode needs at least SEG_LEN // 2 steps "
                 "to cut a replay segment, so the learner would never run"
             )
-        if not 0.0 < self.gamma < 1.0:
-            raise ConfigError("gamma must lie in (0, 1)")
-        if self.replay_ratio <= 0.0:
-            raise ConfigError("replay_ratio must be positive")
-        if not 0.0 < self.tau <= 1.0:
-            raise ConfigError(f"tau must lie in (0, 1], not {self.tau}")
-        for key in ("eta", "anneal_start", "anneal_end"):
-            if not 0.0 <= getattr(self, key) <= 1.0:
-                raise ConfigError(f"{key} must lie in [0, 1], not {getattr(self, key)}")
-        for key in ("lr_actor", "lr_critic", "lr_alpha", "init_alpha", "rescale_eps"):
-            if not getattr(self, key) > 0.0:
-                raise ConfigError(f"{key} must be positive, not {getattr(self, key)}")
-        if self.anneal_steps < 1:
-            raise ConfigError(f"anneal_steps must be at least 1, not {self.anneal_steps}")
         if 0 < self.min_store_segments < self.batch:
             raise ConfigError(
                 f"min_store_segments ({self.min_store_segments}) is below batch ({self.batch}): the learner could not "
@@ -98,9 +104,8 @@ class TrainConfig:
                 f"capacity ({self.capacity}) is below the {self.min_segments_to_learn} segments learning waits for "
                 "(min_store_segments, or batch when that is 0), so the learner would never run"
             )
-        # a sampler-cut replay record holds 195 + 18 * n_step floats (the
-        # record layout in ``replay``), and the store fills all ``capacity`` slots
-        replay_bytes = self.capacity * (195 + 18 * self.n_step) * 8
+        # the store fills all ``capacity`` slots with sampler-cut records of env state rows
+        replay_bytes = self.capacity * record_width(STATE_DIM, ACT_DIM, self.n_step) * 8
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
         if replay_bytes > memory:
             raise ConfigError(
@@ -142,11 +147,7 @@ class TrainConfig:
         return self.min_store_segments if self.min_store_segments > 0 else self.batch
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
-
-
-def _coerce(key: str, raw: str):
-    f = _FIELDS[key]
+def _coerce(f: dataclasses.Field, raw: str):
     raw = raw.strip()
     if f.type in ("bool", bool):
         low = raw.lower()
@@ -154,37 +155,39 @@ def _coerce(key: str, raw: str):
             return True
         if low in ("0", "false", "no", "off"):
             return False
-        raise ConfigError(f"config key {key!r} expects a boolean, got {raw!r}")
+        raise ConfigError(f"config key {f.name!r} expects a boolean, got {raw!r}")
     try:
         if f.type in ("int", int):
             return int(raw)
         if f.type in ("float", float):
             return float(raw)
     except ValueError as e:
-        raise ConfigError(f"config key {key!r}: {e}") from e
+        raise ConfigError(f"config key {f.name!r}: {e}") from e
     return raw
 
 
 def parse_config_text(text: str) -> dict:
     """Parse `key = value` lines; '#' starts a comment."""
-    return _typed(parse_pairs(text, "config"))
+    return _typed(TrainConfig, parse_pairs(text, "config"))
 
 
-def _typed(pairs: dict) -> dict:
-    """The values of known config keys, strings coerced to the field's type."""
+def _typed(record: type, pairs: dict) -> dict:
+    """The values of ``record``'s keys in ``pairs``, strings coerced to the field's type."""
+    fields = {f.name: f for f in dataclasses.fields(record)}
     values = {}
     for key, raw in pairs.items():
-        if key not in _FIELDS:
+        if key not in fields:
             raise ConfigError(f"unknown config key {key!r}")
-        values[key] = _coerce(key, raw) if isinstance(raw, str) else raw
+        values[key] = _coerce(fields[key], raw) if isinstance(raw, str) else raw
     return values
 
 
-def load_config(path: str | None = None, overrides: dict | None = None) -> TrainConfig:
-    """Build a TrainConfig from an optional file plus override strings."""
-    values = _typed(Manifest(path, "config file").pairs) if path is not None else {}
-    values.update(_typed(overrides or {}))
-    return TrainConfig(**values)
+def load_config(path: str | None = None, overrides: dict | None = None, record: type = TrainConfig):
+    """Build a ``record`` (a TrainConfig unless given) from an optional file
+    plus override strings."""
+    values = _typed(record, Manifest(path, "config file").pairs) if path is not None else {}
+    values.update(_typed(record, overrides or {}))
+    return record(**values)
 
 
 def config_to_text(cfg: TrainConfig) -> str:

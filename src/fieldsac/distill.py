@@ -19,16 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn, policy
+from .config import require, require_finite
+from .env import FIELD_DIM
 from .errors import ConfigError, NumericFault
 from .sac import VectorCritic
-
-FIELD_NOISE_STD = 0.1
 
 
 @dataclass
 class DistillConfig:
-    field_dim: int = 242
-    noise_std: float = FIELD_NOISE_STD
+    field_dim: int = FIELD_DIM
+    noise_std: float = 0.1
     batch: int = 128
     lr_actor: float = 1e-4
     lr_critic: float = 1e-4
@@ -40,10 +40,10 @@ class DistillConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be non-negative")
-        if self.kl_stop <= 0 or self.max_steps < 1 or self.batch < 1:
-            raise ConfigError("distillation thresholds must be positive")
+        require_finite(self)
+        require(self, ["field_dim", "batch", "student_hidden", "max_steps"], lambda v: v >= 1, "be at least 1")
+        require(self, ["noise_std", "lr_decay_step", "seed"], lambda v: v >= 0, "be at least 0")
+        require(self, ["lr_actor", "lr_critic", "kl_stop"], lambda v: v > 0.0, "be positive")
 
     def lr_at(self, step: int) -> tuple[float, float]:
         scale = 0.2 if (self.lr_decay_step and step >= self.lr_decay_step) else 1.0

@@ -52,6 +52,7 @@ OBS_TEACHER_DIM = 6
 OBS_STUDENT_DIM = OBS_TEACHER_DIM + FIELD_DIM  # 248
 # p (2), v (2), previous action (2), sink (2), v_max, ramp
 STATE_DIM = 10
+ACT_DIM = 2  # an acceleration along each axis
 OBS_MODES = ("teacher", "student")
 
 # Scale applied to the position entries of the observation so every
@@ -238,7 +239,7 @@ class PointMassEnv:
     def step(self, action) -> StepResult:
         if self._done or self.state is None:
             raise ContractViolation("step called on a finished episode; call reset first")
-        a = np.asarray(action, dtype=np.float64).reshape(2)
+        a = np.asarray(action, dtype=np.float64).reshape(ACT_DIM)
         if np.abs(a).max() > 1.0:
             self._clamp_count += 1
             a = np.clip(a, -1.0, 1.0)

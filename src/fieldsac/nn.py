@@ -810,8 +810,7 @@ def _layer_spec(raw: str) -> LayerSpec:
 
 def load_network(prefix: str) -> Network:
     man = artifacts.Manifest(prefix + ".manifest", "network")
-    if man.get("format") != _MANIFEST_FORMAT:
-        raise ConfigError(f"unrecognized manifest format in {man.path}")
+    man.get("format", artifacts.one_of(_MANIFEST_FORMAT))
     specs = [man.get(f"layer.{i}", _layer_spec) for i in range(man.get("num_layers", int))]
     net = Network(specs, arena_blocks(specs))
     steps = np.zeros(len(net.param_blocks()))

@@ -28,15 +28,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import artifacts, nn, policy, sac
-from .config import TrainConfig, config_to_text
-from .env import OBS_STUDENT_DIM, OBS_TEACHER_DIM, STATE_DIM, PointMassEnv, StepResult, observe
+from . import artifacts, distill, nn, policy, sac
+from .config import STAGES, TrainConfig, config_to_text
+from .env import ACT_DIM, FIELD_DIM, OBS_STUDENT_DIM, OBS_TEACHER_DIM, STATE_DIM, PointMassEnv, StepResult, observe
 from .errors import ConfigError, FieldsacError, NumericFault
 from .replay import AnnealSchedule, PrioritizedStore, SegmentCutter
 from .rewards import R_ENTROPY, EnvRewardConfig, TERM_NAMES
 from .sac import CriticEnsemble, SacHyper, ScalarAdam, VectorCritic
 
-ACT_DIM = 2
 SINK_REACH_RADIUS = 0.5
 
 
@@ -253,6 +252,7 @@ class Learner:
 
 
 _CKPT_NETS = ("actor", "q1", "q2", "q1_target", "q2_target")
+_CKPT_FORMAT = "fieldsac-checkpoint-v1"
 
 
 @dataclass
@@ -278,7 +278,7 @@ def save_checkpoint(
     ``directory`` that replaces the old one whole, so a failed save leaves it as it was."""
     nets = dict(zip(_CKPT_NETS, (actor, ensemble.q1.net, ensemble.q2.net, ensemble.q1_target.net, ensemble.q2_target.net)))
     meta = {
-        "format": "fieldsac-checkpoint-v1",
+        "format": _CKPT_FORMAT,
         "stage": cfg.stage,
         "log_alpha": float(log_alpha.value).hex(),
         "alpha_m": float(log_alpha.m).hex(),
@@ -304,6 +304,7 @@ def load_checkpoint(directory: str) -> CheckpointBundle:
         v=meta.get("alpha_v", float.fromhex),
         t=meta.get("alpha_t", int),
     )
+    meta.get("format", artifacts.one_of(_CKPT_FORMAT))
     nets = {name: nn.load_network(os.path.join(directory, name)) for name in _CKPT_NETS}
     ensemble = CriticEnsemble(
         VectorCritic(nets["q1"]),
@@ -315,7 +316,7 @@ def load_checkpoint(directory: str) -> CheckpointBundle:
         actor=nets["actor"],
         ensemble=ensemble,
         log_alpha=log_alpha,
-        stage=meta.get("stage"),
+        stage=meta.get("stage", artifacts.one_of(*STAGES)),
         learner_steps=meta.get("learner_steps", int),
         env_steps=meta.get("env_steps", int),
     )
@@ -404,6 +405,10 @@ def evaluate(
     record_dir: str | None = None,
 ) -> EvalReport:
     """Roll deterministic episodes on fresh environments and aggregate."""
+    if episodes < 1:
+        raise ConfigError(f"episodes must be at least 1, not {episodes}")
+    if seed < 0:
+        raise ConfigError(f"seed must be at least 0, not {seed}")
     env = PointMassEnv(reward_cfg=reward_cfg, directional_pvb=directional_pvb, horizon=horizon, record_dir=record_dir)
     totals, finals, disps, speeds = [], [], [], []
     term_totals = np.zeros(len(TERM_NAMES))
@@ -640,16 +645,11 @@ def train_stage(
 class DistillStageResult:
     checkpoint_dir: str
     metrics_path: str
-    report: "distill_mod.DistillReport"
+    report: distill.DistillReport
     teacher_unchanged: bool
 
 
-def run_distill_stage(
-    teacher_ckpt_dir: str,
-    replay_dir: str,
-    out_dir: str,
-    dcfg: "distill_mod.DistillConfig",
-) -> DistillStageResult:
+def run_distill_stage(teacher_ckpt_dir: str, replay_dir: str, out_dir: str, dcfg: distill.DistillConfig) -> DistillStageResult:
     """Distill a pretrained teacher into field-aware students.
 
     Loads the teacher checkpoint and the saved replay, trains the student
@@ -657,8 +657,8 @@ def run_distill_stage(
     saves a finetune-ready student checkpoint (targets start as copies of
     the online students, temperature starts fresh).
     """
-    from . import distill as distill_mod
-
+    if dcfg.field_dim != FIELD_DIM:
+        raise ConfigError(f"field_dim must be {FIELD_DIM}, the width of the env's field grid, not {dcfg.field_dim}")
     bundle = load_checkpoint(teacher_ckpt_dir)
     store = PrioritizedStore.load(replay_dir)
     states = observe(store.all_observation_rows(), "teacher")
@@ -668,42 +668,32 @@ def run_distill_stage(
     n_hold = max(1, int(0.1 * states.shape[0]))
     holdout, train_states = states[perm[:n_hold]], states[perm[n_hold:]]
 
-    fp_before = distill_mod.network_fingerprint(bundle.actor) + distill_mod.network_fingerprint(bundle.ensemble.q1.net) + distill_mod.network_fingerprint(bundle.ensemble.q2.net)
-
-    from .config import load_config
-
-    stage_cfg = load_config(overrides={"stage": bundle.stage})
-    weights = stage_cfg.weights
-    student_actor, student_q1, hist1 = distill_mod.run_distillation(
-        bundle.actor, bundle.ensemble.q1, train_states, weights, dcfg,
-        metrics_path=os.path.join(out_dir, "distill_metrics.csv"),
-    )
+    teacher_nets = (bundle.actor, bundle.ensemble.q1.net, bundle.ensemble.q2.net)
+    fp_before = [distill.network_fingerprint(net) for net in teacher_nets]
+    weights = TrainConfig(stage=bundle.stage).weights
+    metrics_path = os.path.join(out_dir, "distill_metrics.csv")
+    student_actor, student_q1, hist1 = distill.run_distillation(bundle.actor, bundle.ensemble.q1, train_states, weights, dcfg, metrics_path)
     # the second twin reuses the distilled actor and only fits its critic
-    import dataclasses as _dc
-
-    dcfg2 = _dc.replace(dcfg, seed=dcfg.seed + 1)
-    rng2 = np.random.default_rng(dcfg2.seed)
-    student_q2 = distill_mod.build_student_critic(
-        bundle.ensemble.q2, bundle.actor.in_dim, bundle.actor.out_dim // 2, dcfg2.field_dim, dcfg2.student_hidden, rng2
+    rng2 = np.random.default_rng(dcfg.seed + 1)
+    student_q2 = distill.build_student_critic(
+        bundle.ensemble.q2, bundle.actor.in_dim, bundle.actor.out_dim // 2, dcfg.field_dim, dcfg.student_hidden, rng2
     )
     for step in range(len(hist1)):
-        idx = rng2.integers(0, train_states.shape[0], size=dcfg2.batch)
-        distill_mod.distill_critic_only(student_q2, bundle.actor, bundle.ensemble.q2, student_actor, train_states[idx], rng2, dcfg2, weights, step_index=step)
+        idx = rng2.integers(0, train_states.shape[0], size=dcfg.batch)
+        distill.distill_critic_only(student_q2, bundle.actor, bundle.ensemble.q2, student_actor, train_states[idx], rng2, dcfg, weights, step_index=step)
 
-    report = distill_mod.verify_distillation(student_actor, bundle.actor, holdout, dcfg.field_dim)
-    fp_after = distill_mod.network_fingerprint(bundle.actor) + distill_mod.network_fingerprint(bundle.ensemble.q1.net) + distill_mod.network_fingerprint(bundle.ensemble.q2.net)
-
+    report = distill.verify_distillation(student_actor, bundle.actor, holdout, dcfg.field_dim)
+    teacher_unchanged = [distill.network_fingerprint(net) for net in teacher_nets] == fp_before
     ensemble = CriticEnsemble(student_q1, student_q2, student_q1.copy(), student_q2.copy())
-    cfg = load_config(overrides={"stage": "finetune"})
+    cfg = TrainConfig(stage="finetune")
     ckpt_dir = save_checkpoint(os.path.join(out_dir, "checkpoint"), student_actor, ensemble, ScalarAdam(value=float(np.log(cfg.init_alpha))), cfg)
-    with open(os.path.join(out_dir, "verify.txt"), "w") as f:
-        f.write(
-            f"mean_kl = {report.mean_kl!r}\nmax_action_deviation = {report.max_action_deviation!r}\n"
-            f"passed = {report.passed}\nteacher_unchanged = {fp_before == fp_after}\n"
-        )
-    return DistillStageResult(
-        checkpoint_dir=ckpt_dir,
-        metrics_path=os.path.join(out_dir, "distill_metrics.csv"),
-        report=report,
-        teacher_unchanged=fp_before == fp_after,
+    artifacts.write_manifest(
+        os.path.join(out_dir, "verify.txt"),
+        {
+            "mean_kl": repr(report.mean_kl),
+            "max_action_deviation": repr(report.max_action_deviation),
+            "passed": report.passed,
+            "teacher_unchanged": teacher_unchanged,
+        },
     )
+    return DistillStageResult(ckpt_dir, metrics_path, report, teacher_unchanged)

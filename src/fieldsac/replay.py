@@ -78,6 +78,17 @@ class Segment:
     length: int
 
 
+def record_shapes(obs_dim: int, act_dim: int, n_tail: int, seg_len: int = SEG_LEN) -> tuple:
+    """The fields of one stored record, in order: obs, actions, rewards,
+    dones (0/1) and keys (episode id, start index, length)."""
+    return ((seg_len + n_tail, obs_dim), (seg_len, act_dim), (seg_len + n_tail - 1, NUM_TERMS), (seg_len + n_tail - 1,), (3,))
+
+
+def record_width(obs_dim: int, act_dim: int, n_tail: int, seg_len: int = SEG_LEN) -> int:
+    """Floats in one stored record."""
+    return sum(math.prod(shape) for shape in record_shapes(obs_dim, act_dim, n_tail, seg_len))
+
+
 def validate_segment(seg: Segment, seg_len: int = SEG_LEN, n_tail: int | None = None) -> None:
     """Reject malformed segments with the reason in the message."""
     L = seg_len
@@ -312,21 +323,17 @@ class PrioritizedStore:
     def __len__(self) -> int:
         return self._size
 
-    def _field_shapes(self) -> tuple:
-        (obs_dim, act_dim), L, tail = self._widths, self.seg_len, self.n_tail
-        return ((L + tail, obs_dim), (L, act_dim), (L + tail - 1, NUM_TERMS), (L + tail - 1,), (3,))
-
     def _grow(self, rows: int) -> None:
         """Resize ``_rec`` to ``rows`` rows in place (realloc), keeping the filled ones.
 
         No view of ``_rec`` outlives a method call, so no reference check is needed.
         """
-        self._rec.resize((rows, sum(math.prod(s) for s in self._field_shapes())), refcheck=False)
+        self._rec.resize((rows, record_width(*self._widths, self.n_tail, self.seg_len)), refcheck=False)
 
     def _fields(self, rows: np.ndarray) -> list[np.ndarray]:
         """Views of record rows: obs, actions, rewards, dones (0/1), keys."""
         out, off = [], 0
-        for shape in self._field_shapes():
+        for shape in record_shapes(*self._widths, self.n_tail, self.seg_len):
             n = math.prod(shape)
             out.append(rows[:, off : off + n].reshape(len(rows), *shape))
             off += n

@@ -1,4 +1,5 @@
 import os
+import shlex
 import shutil
 
 import numpy as np
@@ -571,6 +572,8 @@ class TestCli:
             ("distill", "q2_target.manifest", "with_optimizer", "zz"),
             ("distill", "replay.manifest", "capacity", None),
             ("distill", "replay.manifest", "alpha", "zz"),
+            ("eval", "meta.txt", "stage", "banana"),
+            ("eval", "meta.txt", "format", "zz"),
         ],
     )
     def test_damaged_manifest_exit_one(self, artifact_dirs, tmp_path, capsys, command, name, key, value):
@@ -596,6 +599,64 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and path in err and repr(key) in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            # a traceback, a numeric fault, an argparse usage error (exit 2)
+            # or a run that ended with exit 0, before distill read its keys
+            # the way pretrain does
+            (["--student-hidden", "0"], "student_hidden"),
+            (["--student-hidden", "-3"], "student_hidden"),
+            (["--lr", "0"], "lr_actor"),
+            (["--lr", "-1"], "lr_actor"),
+            (["--noise-std", "nan"], "noise_std"),
+            (["--kl-stop", "nan"], "kl_stop"),
+            (["--lr-decay-step", "-5"], "lr_decay_step"),
+            (["--batch", "abc"], "batch"),
+            (["--field_dim", "10"], "field_dim"),
+        ],
+    )
+    def test_distill_exits_one_naming_the_key(self, artifact_dirs, tmp_path, capsys, flags, key):
+        rc = cli.main([*_artifact_argv("distill", artifact_dirs, str(tmp_path / "out")), "--max-steps", "2", *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc", ["README.md", "configs/desk.txt"])
+    def test_documented_distill_command_builds_the_same_config(self, monkeypatch, doc):
+        """The documented distill command line, with ``--lr`` and hyphenated
+        keys, builds the DistillConfig its eight distill flags used to build."""
+        with open(os.path.join(ROOT, doc)) as f:
+            lines = [ln.lstrip("# ").rstrip() for ln in f]
+        start = next(i for i, ln in enumerate(lines) if ln.startswith("fieldsac distill"))
+        command = lines[start]
+        while command.endswith("\\"):
+            start += 1
+            command = command[:-1] + lines[start]
+        built = []
+
+        def capture(teacher, replay, out, dcfg):
+            built.append(dcfg)
+            raise ConfigError("captured")
+
+        monkeypatch.setattr(pipeline, "run_distill_stage", capture)
+        assert cli.main(shlex.split(command)[1:]) == 1
+        assert built == [
+            distill.DistillConfig(
+                field_dim=242, noise_std=0.1, batch=128, lr_actor=1e-3, lr_critic=1e-3, student_hidden=64,
+                max_steps=12000, kl_stop=5e-5, lr_decay_step=6000, match_vector=False, seed=0,
+            )
+        ]
+
+    @pytest.mark.parametrize("flags, name", [(["--episodes", "0"], "episodes"), (["--seed", "-100"], "seed")])
+    def test_eval_exits_one_naming_the_bad_input(self, artifact_dirs, capsys, flags, name):
+        # an IndexError and a numpy ValueError traceback before evaluate checked them
+        rc = cli.main([*_artifact_argv("eval", artifact_dirs, None), *flags])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
 
     def test_pretrain_eval_round_trip(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
