@@ -10,6 +10,7 @@ import numpy as np
 
 from fieldsac.env import PointMassEnv, local_grid
 from fieldsac.pipeline import SinkSeeker, evaluate
+from fieldsac.rewards import R_TAB
 
 out = os.path.join(tempfile.gettempdir(), "fieldsac_trajectories")
 env = PointMassEnv(record_dir=out)
@@ -26,7 +27,7 @@ while not sr.done:
     if sr.info["t"] % 100 == 0:
         print(
             f"  t={sr.info['t']:>4}  pos=({sr.info['p'][0]:6.2f},{sr.info['p'][1]:6.2f})  "
-            f"speed={sr.info['speed']:.2f}  dist={sr.info['dist_to_sink']:.2f}  tab={sr.reward.r_tab:.2f}"
+            f"speed={sr.info['speed']:.2f}  dist={sr.info['dist_to_sink']:.2f}  tab={sr.reward[R_TAB]:.2f}"
         )
 print(f"episode over at t={sr.info['t']}, final distance {sr.info['dist_to_sink']:.3f} m")
 print(f"trajectory CSV written under {out}")

@@ -10,7 +10,9 @@ The training stages read their settings one way: each leftover
 ``--key value`` pair (hyphens read as underscores) sets a key of the
 stage's record, ``TrainConfig`` for pretrain and finetune and
 ``DistillConfig`` for distill, and ``config`` types and checks it.
-``--lr`` is the one alias: it sets distill's two rates.
+``--lr`` is the one alias: it sets distill's two rates.  ``eval`` types
+its own integer flags the same way: a value that is not an integer
+exits 1 naming the flag.
 
 Exit codes: 0 success, 1 configuration error, 2 numeric fault,
 3 check-suite failure.
@@ -90,16 +92,25 @@ def cmd_finetune(args, overrides) -> int:
     return 0
 
 
+def _int_flag(args, name: str) -> int:
+    raw = getattr(args, name)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"--{name} must be an integer, not {raw!r}") from None
+
+
 def cmd_eval(args, overrides) -> int:
     from . import pipeline
 
+    difficulty, episodes, seed = (_int_flag(args, name) for name in ("difficulty", "episodes", "seed"))
     bundle = pipeline.load_checkpoint(args.checkpoint)
     stage = TrainConfig(stage=bundle.stage)  # the checkpoint stage's observations and rewards
     report = pipeline.evaluate(
         pipeline.NetPolicy(bundle.actor, stage.obs_mode),
-        difficulty=args.difficulty,
-        episodes=args.episodes,
-        seed=args.seed,
+        difficulty=difficulty,
+        episodes=episodes,
+        seed=seed,
         reward_cfg=EnvRewardConfig(w_vel=stage.effective_env_w_vel),
         directional_pvb=stage.directional_pvb,
         record_dir=args.record_dir,
@@ -135,9 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint with deterministic actions")
     ev.add_argument("--checkpoint", required=True)
-    ev.add_argument("--difficulty", type=int, default=2)
-    ev.add_argument("--episodes", type=int, default=5)
-    ev.add_argument("--seed", type=int, default=0)
+    ev.add_argument("--difficulty", default=2)
+    ev.add_argument("--episodes", default=5)
+    ev.add_argument("--seed", default=0)
     ev.add_argument("--record-dir", default=None, help="dump per-episode trajectory CSVs here")
 
     sub.add_parser("check", help="run the oracle/invariant self-check suite")

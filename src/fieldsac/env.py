@@ -16,6 +16,10 @@ with it when they are read, so a row rebuilt from a stored state is
 byte-equal to the one the env emitted.  Samplers store state rows in
 replay for that reason.
 
+A step result's ``reward`` is one (7,) float64 vector in
+``rewards.TERM_NAMES`` order.  The env fills every term but
+``r_entropy``, which the sampler writes because it knows the policy.
+
 One instance is single-threaded; run one environment per sampler.
 """
 
@@ -27,16 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, NumericFault
-from .rewards import (
-    EnvRewardConfig,
-    VectorReward,
-    dense_effort_penalty,
-    env_reward,
-    env_reward_partial,
-    pelvis_velocity_bonus,
-    target_achieve_bonus,
-    velocity_deviation_penalty,
-)
+from .rewards import NUM_TERMS, R_DEP, R_ENV, R_PVB, R_TAB, R_VDP, EnvRewardConfig, dense_effort_penalty, env_reward
+from .rewards import env_reward_partial, pelvis_velocity_bonus, target_achieve_bonus, velocity_deviation_penalty
 
 DT = 0.1
 ACCEL_GAIN = 2.0
@@ -152,7 +148,7 @@ class EnvState:
 
 @dataclass
 class StepResult:
-    reward: VectorReward
+    reward: np.ndarray  # (NUM_TERMS,) float64 terms in ``rewards.TERM_NAMES`` order
     done: bool
     state: np.ndarray  # (STATE_DIM,) row that ``observe`` turns into either observation
     info: dict = field(default_factory=dict)
@@ -186,7 +182,9 @@ class PointMassEnv:
         v <- v + dt * (ACCEL_GAIN * action - DRAG * v)
         p <- p + dt * v
     An episode ends at the horizon or when the agent leaves the arena.
-    ``record_dir``, when set, dumps one CSV per episode for offline plots.
+    ``record_dir``, when set, dumps one CSV per episode for offline plots:
+    the step index, position, velocity, action and the seven reward terms
+    as plain decimal numbers, then the done flag.
     """
 
     def __init__(
@@ -228,9 +226,12 @@ class PointMassEnv:
         self._low_field_streak = 0
         self._respawned = False
         if self.record_dir is not None:
-            os.makedirs(self.record_dir, exist_ok=True)
-            self._record_rows = ["t,px,py,vx,vy,ax,ay," + ",".join(f"r{i}" for i in range(7)) + ",done"]
-        return self._result(VectorReward(), done=False)
+            try:
+                os.makedirs(self.record_dir, exist_ok=True)
+            except OSError as e:
+                raise ConfigError(f"cannot create record directory {self.record_dir!r}: {e.strerror}") from None
+            self._record_rows = ["t,px,py,vx,vy,ax,ay," + ",".join(f"r{i}" for i in range(NUM_TERMS)) + ",done"]
+        return self._result(np.zeros(NUM_TERMS), done=False)
 
     @property
     def done(self) -> bool:
@@ -270,15 +271,14 @@ class PointMassEnv:
             r_env = env_reward_partial(self.reward_cfg, vb, vt, ac)
             self._window_rows = []
 
-        reward = VectorReward(
-            r_env=r_env,
-            r_clp=0.0,  # the point mass has no legs
-            r_vdp=velocity_deviation_penalty(st.v, v_tgt),
-            r_pvb=pelvis_velocity_bonus(st.v, v_tgt, directional=self.directional_pvb),
-            r_dep=dense_effort_penalty(a),
-            r_tab=target_achieve_bonus(v_tgt),
-            r_entropy=0.0,  # overwritten by the sampler, which knows the policy
-        )
+        # r_clp stays 0 (the point mass has no legs); the sampler, which
+        # knows the policy, writes r_entropy
+        reward = np.zeros(NUM_TERMS)
+        reward[R_ENV] = r_env
+        reward[R_VDP] = velocity_deviation_penalty(st.v, v_tgt)
+        reward[R_PVB] = pelvis_velocity_bonus(st.v, v_tgt, directional=self.directional_pvb)
+        reward[R_DEP] = dense_effort_penalty(a)
+        reward[R_TAB] = target_achieve_bonus(v_tgt)
 
         if self._difficulty == 3 and not self._respawned:
             if float(np.linalg.norm(v_tgt)) <= 0.5:
@@ -292,17 +292,13 @@ class PointMassEnv:
 
         result = self._result(reward, done)
         if self._record_rows is not None:
-            r = reward.as_array()
-            self._record_rows.append(
-                f"{st.t},{st.p[0]!r},{st.p[1]!r},{st.v[0]!r},{st.v[1]!r},{a[0]!r},{a[1]!r},"
-                + ",".join(repr(x) for x in r)
-                + f",{int(done)}"
-            )
+            cells = (*st.p, *st.v, *a, *reward)
+            self._record_rows.append(f"{st.t}," + ",".join(repr(float(x)) for x in cells) + f",{int(done)}")
             if done:
                 self._flush_record()
         return result
 
-    def _result(self, reward: VectorReward, done: bool) -> StepResult:
+    def _result(self, reward: np.ndarray, done: bool) -> StepResult:
         st, fld = self.state, self.field
         v_tgt = field_at(fld, st.p)
         state = np.concatenate([st.p, st.v, st.prev_action, fld.sink, (fld.v_max, fld.ramp)])

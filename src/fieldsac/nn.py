@@ -582,27 +582,28 @@ def _layer_norm_grad(
 
 def adam_step_net(net: Network, lr: float, beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2, eps: float = ADAM_EPS) -> None:
     """One bias-corrected Adam step over the whole arena: every block, one
-    step count.  Zeroes the gradients; non-finite gradients abort before
-    touching any state.
+    step count.  Zeroes the gradients.  A gradient whose second-moment
+    term ``(1 - beta2) * g * g`` is not finite (a non-finite gradient, or
+    one past about 1e154) aborts before touching any state.
     """
     arena = net.arena
     p, gr, m, v = arena.params, arena.grads, arena.m, arena.v
-    if not np.isfinite(gr).all():
-        raise NumericFault("non-finite gradient; Adam step aborted")
+    # v += (1 - beta2) * g * g;  m += (1 - beta1) * g;
+    # p -= lr * (m / c1) / (sqrt(v / c2) + eps): the same operations in the
+    # same order, with one scratch vector and the spent gradient as another
+    tmp = np.multiply(gr, 1.0 - beta2)
+    tmp *= gr
+    if not np.isfinite(tmp).all():
+        raise NumericFault("non-finite or overflowing gradient; Adam step aborted")
     arena.step_count += 1
     t = arena.step_count
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
-    # m += (1 - beta1) * g;  v += (1 - beta2) * g * g;
-    # p -= lr * (m / c1) / (sqrt(v / c2) + eps): the same operations in the
-    # same order, with one scratch vector and the spent gradient as another
-    tmp = np.multiply(gr, 1.0 - beta1)
-    m *= beta1
-    m += tmp
-    np.multiply(gr, 1.0 - beta2, out=tmp)
-    tmp *= gr
     v *= beta2
     v += tmp
+    np.multiply(gr, 1.0 - beta1, out=tmp)
+    m *= beta1
+    m += tmp
     np.divide(v, c2, out=gr)
     np.sqrt(gr, out=gr)
     gr += eps

@@ -114,7 +114,6 @@ class Sampler:
         self.snapshot = hub.current()
         self._cutter: SegmentCutter | None = None
         self._last_obs: np.ndarray | None = None
-        self.emitted_keys: list[tuple[int, int]] = []  # (episode_id, start_index) audit trail
 
     def _episode_seed(self) -> int:
         return self.cfg.seed * 10_000_000 + (self.sid + 1) * 1_000_000 + self.episode_index
@@ -142,15 +141,11 @@ class Sampler:
             action = sampled.action[0]
             sr = self.env.step(action)
             self.env_steps += 1
-            reward_vec = sr.reward.as_array()
-            reward_vec[R_ENTROPY] = policy.entropy_bonus(sampled, self.snapshot.alpha)[0]
-            segments = self._cutter.push(action, reward_vec, sr.done, sr.state)
+            sr.reward[R_ENTROPY] = policy.entropy_bonus(sampled, self.snapshot.alpha)[0]
+            segments = self._cutter.push(action, sr.reward, sr.done, sr.state)
             self._last_obs = pick_obs(sr, self.cfg.obs_mode)
-            appended = 0
             for seg in segments:
                 self.store.append(seg, priority=self.store.max_priority())
-                self.emitted_keys.append((seg.episode_id, seg.start_index))
-                appended += 1
         except FieldsacError:
             # discard the broken episode; the next tick restarts with a
             # fresh seed derived from the master seed
@@ -158,8 +153,8 @@ class Sampler:
             self._cutter = None
             self.env._done = True
             return 0
-        self.segments_emitted += appended
-        return appended
+        self.segments_emitted += len(segments)
+        return len(segments)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +185,6 @@ class Learner:
             n_step=cfg.n_step,
             rescale_eps=cfg.rescale_eps,
             use_rescale=cfg.use_rescale,
-            target_entropy=cfg.target_entropy,
-            tau=cfg.tau,
         )
         self.anneal = AnnealSchedule(cfg.anneal_start, cfg.anneal_end, cfg.anneal_steps)
         self.rng = np.random.default_rng(cfg.seed * 104729 + 7)
@@ -418,7 +411,7 @@ def evaluate(
         ep_speeds = []
         while not sr.done:
             sr = env.step(policy_fn(sr))
-            ep_terms += sr.reward.as_array()
+            ep_terms += sr.reward
             ep_speeds.append(sr.info["speed"])
         totals.append(ep_terms[0])
         term_totals += ep_terms
@@ -499,7 +492,7 @@ class TrainResult:
 def build_learner_nets(cfg: TrainConfig, rng: np.random.Generator) -> tuple[nn.Network, CriticEnsemble]:
     obs_dim = obs_dim_for_stage(cfg.stage)
     actor = nn.build_mlp(obs_dim, cfg.hidden, 2 * ACT_DIM, rng, activation="elu", out_scale=0.01)
-    ensemble = CriticEnsemble.build(obs_dim, ACT_DIM, cfg.hidden, rng, tau=cfg.tau)
+    ensemble = CriticEnsemble.build(obs_dim, ACT_DIM, cfg.hidden, rng)
     return actor, ensemble
 
 

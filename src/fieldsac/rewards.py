@@ -1,8 +1,13 @@
 """Reward vocabulary: the seven shaping terms, their weights, and the
 windowed environment reward.
 
-Every term is emitted per control step; episode-level sums arise from
-discounted accumulation in the learner.  All functions are pure.
+A reward is one (NUM_TERMS,) float64 array in ``TERM_NAMES`` order,
+indexed by the ``R_*`` constants, from the env through replay to the
+critic heads.  Every term is emitted per control step; episode-level
+sums arise from discounted accumulation in the learner.  ``r_clp``, the
+crossing-legs penalty of a legged body, is always 0 on the point mass;
+it keeps its coordinate, weight and critic head so that every
+checkpoint carries the same seven terms.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -24,59 +29,6 @@ FINETUNE_WEIGHTS = (1.0, 10.0, 1.0, 1.0, 1.0, 1.0, 1.0)
 
 
 @dataclass(frozen=True)
-class VectorReward:
-    r_env: float = 0.0
-    r_clp: float = 0.0
-    r_vdp: float = 0.0
-    r_pvb: float = 0.0
-    r_dep: float = 0.0
-    r_tab: float = 0.0
-    r_entropy: float = 0.0
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.r_env, self.r_clp, self.r_vdp, self.r_pvb, self.r_dep, self.r_tab, self.r_entropy]
-        )
-
-    @classmethod
-    def from_array(cls, arr) -> "VectorReward":
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.shape != (NUM_TERMS,):
-            raise ConfigError(f"reward vector must have {NUM_TERMS} entries")
-        return cls(*arr.tolist())
-
-    def validate(self) -> None:
-        arr = self.as_array()
-        if not np.isfinite(arr).all():
-            raise ConfigError("reward vector contains non-finite entries")
-        if self.r_clp > 0 or self.r_vdp > 0 or self.r_dep > 0:
-            raise ConfigError("penalty coordinates must be non-positive")
-        if not 0.0 <= self.r_tab <= 1.0:
-            raise ConfigError("target-achieve bonus must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class RewardWeights:
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        if w.shape != (NUM_TERMS,) or not np.isfinite(w).all():
-            raise ConfigError(f"weights must be {NUM_TERMS} finite reals")
-        object.__setattr__(self, "w", w)
-
-
-@dataclass(frozen=True)
-class BodyFrame:
-    """Head, pelvis and foot positions of a multi-body agent (meters)."""
-
-    head: np.ndarray
-    pelvis: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-
-
-@dataclass(frozen=True)
 class EnvRewardConfig:
     """Structure of the windowed environment reward.
 
@@ -95,18 +47,6 @@ class EnvRewardConfig:
     def __post_init__(self):
         if self.window < 1:
             raise ConfigError("window must be at least one control step")
-
-
-def crossing_legs_penalty(frame: BodyFrame) -> float:
-    """min(0, triple product of (head, left, right) offsets from the pelvis).
-
-    Negative exactly when the legs cross under an upright torso.
-    """
-    a = np.asarray(frame.head, dtype=np.float64) - np.asarray(frame.pelvis, dtype=np.float64)
-    b = np.asarray(frame.left, dtype=np.float64) - np.asarray(frame.pelvis, dtype=np.float64)
-    c = np.asarray(frame.right, dtype=np.float64) - np.asarray(frame.pelvis, dtype=np.float64)
-    triple = float(np.dot(np.cross(a, b), c))
-    return min(0.0, triple)
 
 
 def velocity_deviation_penalty(v_body, v_tgt) -> float:
@@ -174,9 +114,10 @@ def env_reward_partial(cfg: EnvRewardConfig, v_body, v_tgt, actions) -> float:
 
 
 def scalarize(r, w) -> float:
-    """Weighted sum of the reward coordinates."""
-    r_arr = r.as_array() if isinstance(r, VectorReward) else np.asarray(r, dtype=np.float64)
-    w_arr = w.w if isinstance(w, RewardWeights) else np.asarray(w, dtype=np.float64)
-    if r_arr.shape != (NUM_TERMS,) or w_arr.shape != (NUM_TERMS,):
-        raise ConfigError("scalarize expects 7-vectors")
-    return float(r_arr @ w_arr)
+    """Weighted sum of a reward vector under finite weights, both 7-vectors."""
+    r, w = np.asarray(r, dtype=np.float64), np.asarray(w, dtype=np.float64)
+    if r.shape != (NUM_TERMS,) or w.shape != (NUM_TERMS,):
+        raise ConfigError(f"scalarize expects {NUM_TERMS}-vectors")
+    if not np.isfinite(w).all():
+        raise ConfigError("weights must be finite")
+    return float(r @ w)

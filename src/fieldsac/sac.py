@@ -61,8 +61,6 @@ class SacHyper:
     n_step: int = 5
     rescale_eps: float = 1e-3
     use_rescale: bool = True
-    target_entropy: float = -2.0
-    tau: float = 0.005
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -163,18 +161,16 @@ class CriticEnsemble:
     q2: VectorCritic
     q1_target: VectorCritic
     q2_target: VectorCritic
-    tau: float = 0.005
 
     @classmethod
-    def build(cls, obs_dim: int, act_dim: int, hidden: int, rng: np.random.Generator, tau: float = 0.005, n_terms: int = NUM_TERMS) -> "CriticEnsemble":
+    def build(cls, obs_dim: int, act_dim: int, hidden: int, rng: np.random.Generator, n_terms: int = NUM_TERMS) -> "CriticEnsemble":
         q1 = VectorCritic.build(obs_dim, act_dim, hidden, rng, n_terms)
         q2 = VectorCritic.build(obs_dim, act_dim, hidden, rng, n_terms)
-        return cls(q1, q2, q1.copy(), q2.copy(), tau)
+        return cls(q1, q2, q1.copy(), q2.copy())
 
-    def soft_update(self, tau: float | None = None) -> None:
-        t = self.tau if tau is None else tau
-        nn.soft_update_net(self.q1_target.net, self.q1.net, t)
-        nn.soft_update_net(self.q2_target.net, self.q2.net, t)
+    def soft_update(self, tau: float) -> None:
+        nn.soft_update_net(self.q1_target.net, self.q1.net, tau)
+        nn.soft_update_net(self.q2_target.net, self.q2.net, tau)
 
 
 def n_step_targets(
@@ -381,11 +377,14 @@ class ScalarAdam:
     t: int = 0
 
     def step(self, grad: float, lr: float, beta1: float = nn.ADAM_BETA1, beta2: float = nn.ADAM_BETA2, eps: float = nn.ADAM_EPS) -> None:
-        if not np.isfinite(grad):
-            raise NumericFault("non-finite gradient for scalar parameter")
-        self.t += 1
-        self.m = beta1 * self.m + (1 - beta1) * grad
-        self.v = beta2 * self.v + (1 - beta2) * grad * grad
-        mhat = self.m / (1 - beta1**self.t)
-        vhat = self.v / (1 - beta2**self.t)
-        self.value -= lr * mhat / (np.sqrt(vhat) + eps)
+        """One Adam step; a non-finite or overflowing second moment or value
+        aborts before touching any state."""
+        t = self.t + 1
+        v = beta2 * self.v + (1 - beta2) * grad * grad
+        if not np.isfinite(v):
+            raise NumericFault("non-finite or overflowing gradient for scalar parameter")
+        m = beta1 * self.m + (1 - beta1) * grad
+        value = self.value - lr * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + eps)
+        if not np.isfinite(value):
+            raise NumericFault("scalar parameter overflowed")
+        self.t, self.m, self.v, self.value = t, m, v, value

@@ -6,7 +6,14 @@ from fieldsac import env as envmod
 from fieldsac.env import STATE_DIM, PointMassEnv, TargetField, field_at, local_grid, observe
 from fieldsac.errors import ConfigError, ContractViolation
 from fieldsac.replay import SegmentCutter
-from fieldsac.rewards import EnvRewardConfig
+from fieldsac.rewards import NUM_TERMS, R_CLP, R_DEP, R_ENTROPY, R_ENV, R_PVB, R_TAB, R_VDP, EnvRewardConfig
+
+
+def check_reward_signs(r):
+    """The sign and range invariants of one step's reward vector."""
+    assert r.shape == (NUM_TERMS,) and np.isfinite(r).all()
+    assert r[R_CLP] <= 0 and r[R_VDP] <= 0 and r[R_DEP] <= 0, "penalty coordinates must be non-positive"
+    assert 0.0 <= r[R_TAB] <= 1.0, "target-achieve bonus must lie in [0, 1]"
 
 
 def make_field(sink=(3.0, 4.0), v_max=1.4, ramp=0.7):
@@ -145,7 +152,7 @@ class TestObserve:
             action = rng.uniform(-1.2, 1.2, 2)
             sr = e.step(action)
             for key, c in cutters.items():
-                segs[key] += c.push(action, sr.reward.as_array(), sr.done, sr.state if key == "state" else getattr(sr, f"obs_{key}"))
+                segs[key] += c.push(action, sr.reward, sr.done, sr.state if key == "state" else getattr(sr, f"obs_{key}"))
         assert len(segs["state"]) == len(segs["student"]) >= 1
         for s_seg, t_seg, o_seg in zip(segs["state"], segs["teacher"], segs["student"]):
             assert_rebuilt(s_seg.obs, t_seg.obs, o_seg.obs)
@@ -229,7 +236,7 @@ class TestStep:
         e.reset(seed=0, difficulty=0)
         r = e.step((0.0, 0.0))
         assert np.allclose(r.info["p"], [0.0, 0.0])
-        assert r.reward.r_pvb == 0.0
+        assert r.reward[R_PVB] == 0.0
 
     def test_drag_decays_speed_monotonically(self):
         e = PointMassEnv()
@@ -250,17 +257,18 @@ class TestStep:
         a = np.array([0.4, -0.2])
         r = e.step(a)
         v, vt = r.info["v"], r.info["v_tgt"]
-        assert r.reward.r_clp == 0.0
-        assert r.reward.r_vdp == pytest.approx(rw.velocity_deviation_penalty(v, vt))
-        assert r.reward.r_pvb == pytest.approx(rw.pelvis_velocity_bonus(v, vt, directional=False))
-        assert r.reward.r_dep == pytest.approx(rw.dense_effort_penalty(a))
-        assert r.reward.r_tab == pytest.approx(rw.target_achieve_bonus(vt))
-        assert r.reward.r_entropy == 0.0
+        assert r.reward.shape == (NUM_TERMS,) and r.reward.dtype == np.float64
+        assert r.reward[R_CLP] == 0.0
+        assert r.reward[R_VDP] == pytest.approx(rw.velocity_deviation_penalty(v, vt))
+        assert r.reward[R_PVB] == pytest.approx(rw.pelvis_velocity_bonus(v, vt, directional=False))
+        assert r.reward[R_DEP] == pytest.approx(rw.dense_effort_penalty(a))
+        assert r.reward[R_TAB] == pytest.approx(rw.target_achieve_bonus(vt))
+        assert r.reward[R_ENTROPY] == 0.0
 
     def test_env_reward_emitted_once_per_window(self):
         e = PointMassEnv(reward_cfg=EnvRewardConfig(window=10))
         e.reset(seed=0, difficulty=0)
-        r_envs = [e.step((0.3, 0.0)).reward.r_env for _ in range(25)]
+        r_envs = [e.step((0.3, 0.0)).reward[R_ENV] for _ in range(25)]
         nonzero = [i for i, v in enumerate(r_envs) if v != 0.0]
         assert nonzero == [9, 19]
 
@@ -271,7 +279,7 @@ class TestStep:
         e.state.p = e.field.sink.copy()
         e.state.v = np.zeros(2)
         r = e.step((0.0, 0.0))
-        assert r.reward.r_tab == pytest.approx(1.0)
+        assert r.reward[R_TAB] == pytest.approx(1.0)
 
     def test_episode_ends_at_horizon_and_done_is_absorbing(self):
         e = PointMassEnv(horizon=12)
@@ -311,7 +319,7 @@ class TestStep:
                 if e.done:
                     break
                 r = e.step(rng.uniform(-1, 1, 2))
-                out.append(np.concatenate([r.obs_student, r.reward.as_array(), [float(r.done)]]))
+                out.append(np.concatenate([r.obs_student, r.reward, [float(r.done)]]))
             return np.stack(out)
 
         assert np.array_equal(run(), run())
@@ -324,7 +332,7 @@ class TestStep:
             if e.done:
                 break
             r = e.step(rng.uniform(-1, 1, 2))
-            r.reward.validate()
+            check_reward_signs(r.reward)
 
     def test_difficulty3_respawns_sink_once_after_holding(self):
         e = PointMassEnv(horizon=5000)
@@ -355,3 +363,28 @@ class TestStep:
         assert len(rows) == 16  # header + 15 steps
         last = rows[-1].split(",")
         assert last[-1] == "1"  # done flag
+
+    def test_trajectory_dump_cells_are_plain_numbers(self, tmp_path):
+        e = PointMassEnv(record_dir=str(tmp_path), horizon=40)
+        e.reset(seed=5, difficulty=2)
+        rng = np.random.default_rng(3)
+        expected = []
+        while not e.done:
+            r = e.step(rng.uniform(-1.0, 1.0, 2))
+            # t, then position, velocity and the applied action (state[:6]), the terms, done
+            expected.append([r.info["t"], *r.state[:6], *r.reward, float(r.done)])
+        rows = (tmp_path / "episode_5.csv").read_text().splitlines()
+        assert rows[0] == "t,px,py,vx,vy,ax,ay,r0,r1,r2,r3,r4,r5,r6,done"
+        assert [[float(cell) for cell in row.split(",")] for row in rows[1:]] == expected
+
+
+class TestRewardSigns:
+    def test_sign_check_rejects_positive_penalties(self):
+        for term, value in ((R_CLP, 0.5), (R_TAB, 1.5)):
+            r = np.zeros(NUM_TERMS)
+            r[term] = value
+            with pytest.raises(AssertionError):
+                check_reward_signs(r)
+        r = np.zeros(NUM_TERMS)
+        r[[R_ENV, R_VDP, R_TAB]] = (-3.0, -1.0, 0.3)
+        check_reward_signs(r)

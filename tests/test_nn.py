@@ -598,6 +598,18 @@ class TestWholeVectorUpdates:
         for name in ("params", "m", "v"):
             assert _same_bits(getattr(net.arena, name), getattr(before, name))
 
+    def test_adam_step_net_aborts_when_the_second_moment_overflows(self):
+        # a finite gradient past about 1e154 overflows (1 - beta2) * g * g;
+        # the step used to set v to inf and freeze that parameter silently
+        net = _trained_net()
+        before = net.arena.copy()
+        net.param_blocks()[0].gw[0, 0] = 1e160
+        with np.errstate(over="ignore"), pytest.raises(NumericFault, match="overflowing"):
+            nn.adam_step_net(net, 1e-2)
+        assert net.arena.step_count == before.step_count
+        for name in ("params", "m", "v"):
+            assert _same_bits(getattr(net.arena, name), getattr(before, name))
+
     def test_soft_update_net_equals_per_block_formula(self):
         online = _trained_net(34)
         target = _trained_net(35)

@@ -74,13 +74,21 @@ class TestSampler:
         assert s.env.done
         assert store.appended_total == 199
 
-    def test_no_segment_lost_or_duplicated(self):
+    def test_no_segment_lost_or_duplicated(self, monkeypatch):
         cfg = tiny_cfg(num_samplers=2, total_env_steps=900, horizon=150)
         store, hub, learner, samplers = fresh_setup(cfg)
+        emitted = []
+        append = store.append
+
+        def recording_append(seg, **kw):
+            out = append(seg, **kw)
+            emitted.append((seg.episode_id, seg.start_index))
+            return out
+
+        monkeypatch.setattr(store, "append", recording_append)
         for _ in range(450):
             for s in samplers:
                 s.tick()
-        emitted = [k for s in samplers for k in s.emitted_keys]
         assert len(emitted) == store.appended_total
         assert len(set(emitted)) == len(emitted)
         stored_keys = {(seg.episode_id, seg.start_index) for seg in map(store.segment, range(len(store)))}
@@ -469,6 +477,18 @@ class TestCli:
     def test_check_subcommand_exit_zero(self):
         assert cli.main(["check"]) == 0
 
+    def test_overflowing_optimiser_exits_two_and_writes_faulted(self, tmp_path, capsys):
+        # with all three rates at 1, Adam's g * g left the float range and
+        # this run exited 0 with alpha near 4e153 in metrics.csv
+        flags = "--num_samplers 1 --hidden 8 --batch 1 --capacity 200 --total_env_steps 300 --horizon 60"
+        flags += " --n_step 1 --replay_ratio 16 --lr_actor 1 --lr_critic 1 --lr_alpha 1"
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(["pretrain", "--out", str(tmp_path / "run"), *flags.split()])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("numeric fault: ")
+        assert (tmp_path / "run" / "faulted" / "meta.txt").exists()
+        assert not (tmp_path / "run" / "checkpoint").exists()
+
     def test_check_subcommand_exit_three_on_failure(self, monkeypatch):
         from fieldsac import checks
 
@@ -650,9 +670,23 @@ class TestCli:
             )
         ]
 
-    @pytest.mark.parametrize("flags, name", [(["--episodes", "0"], "episodes"), (["--seed", "-100"], "seed")])
-    def test_eval_exits_one_naming_the_bad_input(self, artifact_dirs, capsys, flags, name):
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--episodes", "0"], "episodes"),
+            (["--seed", "-100"], "seed"),
+            # argparse usage errors (exit 2) while argparse typed eval's flags
+            (["--episodes", "abc"], "--episodes"),
+            (["--difficulty", "x"], "--difficulty"),
+            (["--seed", "y"], "--seed"),
+            # a NotADirectoryError traceback: {tmp}/afile is a regular file
+            (["--record-dir", "{tmp}/afile/sub"], "afile/sub"),
+        ],
+    )
+    def test_eval_exits_one_naming_the_bad_input(self, artifact_dirs, capsys, tmp_path, flags, name):
         # an IndexError and a numpy ValueError traceback before evaluate checked them
+        (tmp_path / "afile").write_text("")
+        flags = [f.format(tmp=tmp_path) for f in flags]
         rc = cli.main([*_artifact_argv("eval", artifact_dirs, None), *flags])
         assert rc == 1
         err = capsys.readouterr().err

@@ -5,11 +5,7 @@ from hypothesis import given, strategies as st
 from fieldsac import rewards
 from fieldsac.errors import ConfigError
 from fieldsac.rewards import (
-    BodyFrame,
     EnvRewardConfig,
-    RewardWeights,
-    VectorReward,
-    crossing_legs_penalty,
     dense_effort_penalty,
     env_reward,
     env_reward_partial,
@@ -18,41 +14,6 @@ from fieldsac.rewards import (
     target_achieve_bonus,
     velocity_deviation_penalty,
 )
-
-
-def frame(head, left, right, pelvis=(0.0, 0.0, 0.0)):
-    p = np.asarray(pelvis, dtype=float)
-    return BodyFrame(p + np.asarray(head, dtype=float), p, p + np.asarray(left, dtype=float), p + np.asarray(right, dtype=float))
-
-
-class TestCrossingLegs:
-    def test_right_handed_frame_has_no_penalty(self):
-        f = frame((0, 0, 1), (1, 0, 0), (0, 1, 0))
-        assert crossing_legs_penalty(f) == 0.0
-
-    def test_swapped_legs_penalized(self):
-        f = frame((0, 0, 1), (0, 1, 0), (1, 0, 0))
-        assert crossing_legs_penalty(f) == -1.0
-
-    def test_coplanar_vectors_give_zero(self):
-        f = frame((1, 0, 0), (0, 1, 0), (1, 1, 0))
-        assert crossing_legs_penalty(f) == 0.0
-
-    def test_penalty_is_never_positive_and_antisymmetric(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            h, l, r = rng.standard_normal((3, 3))
-            f = frame(h, l, r)
-            f_swapped = frame(h, r, l)
-            p1, p2 = crossing_legs_penalty(f), crossing_legs_penalty(f_swapped)
-            assert p1 <= 0.0 and p2 <= 0.0
-            # the triple product is antisymmetric: both orders cannot lose
-            assert not (p1 < 0 and p2 < 0)
-
-    def test_translation_invariance(self):
-        f1 = frame((0, 0, 1), (0, 1, 0), (1, 0, 0))
-        f2 = frame((0, 0, 1), (0, 1, 0), (1, 0, 0), pelvis=(5.0, -3.0, 2.0))
-        assert crossing_legs_penalty(f1) == pytest.approx(crossing_legs_penalty(f2))
 
 
 class TestVelocityDeviation:
@@ -181,15 +142,13 @@ class TestEnvReward:
 
 class TestScalarize:
     def test_pretrain_weights_on_ones(self):
-        r = VectorReward(*([1.0] * 7))
-        assert scalarize(r, rewards.PRETRAIN_WEIGHTS) == pytest.approx(14.0)
+        assert scalarize(np.ones(7), rewards.PRETRAIN_WEIGHTS) == pytest.approx(14.0)
 
     def test_finetune_weights_on_ones(self):
-        r = VectorReward(*([1.0] * 7))
-        assert scalarize(r, rewards.FINETUNE_WEIGHTS) == pytest.approx(16.0)
+        assert scalarize(np.ones(7), rewards.FINETUNE_WEIGHTS) == pytest.approx(16.0)
 
     def test_zero_weights(self):
-        r = VectorReward(*np.random.default_rng(4).standard_normal(7).tolist())
+        r = np.random.default_rng(4).standard_normal(7)
         assert scalarize(r, np.zeros(7)) == 0.0
 
     def test_linearity_over_coordinates(self):
@@ -206,19 +165,6 @@ class TestScalarize:
 
     def test_weights_wrapper_validates(self):
         with pytest.raises(ConfigError):
-            RewardWeights(np.array([1.0, np.inf, 0, 0, 0, 0, 0]))
+            scalarize(np.ones(7), np.array([1.0, np.inf, 0, 0, 0, 0, 0]))
         with pytest.raises(ConfigError):
-            RewardWeights(np.ones(6))
-
-
-class TestVectorReward:
-    def test_round_trip(self):
-        r = VectorReward(1.0, -2.0, -0.5, 3.0, -0.1, 0.7, 0.2)
-        assert VectorReward.from_array(r.as_array()) == r
-
-    def test_validate_rejects_positive_penalties(self):
-        with pytest.raises(ConfigError):
-            VectorReward(r_clp=0.5).validate()
-        with pytest.raises(ConfigError):
-            VectorReward(r_tab=1.5).validate()
-        VectorReward(r_env=-3.0, r_vdp=-1.0, r_tab=0.3).validate()
+            scalarize(np.ones(7), np.ones(6))

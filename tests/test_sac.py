@@ -163,7 +163,7 @@ def tiny_ensemble(rng, obs_dim, act_dim, hidden=8, n_terms=NUM_TERMS):
         return sac.VectorCritic(nn.build_mlp(obs_dim + act_dim, hidden, n_terms, rng, hidden_blocks=1, activation="elu"))
 
     q1, q2 = build(), build()
-    return sac.CriticEnsemble(q1, q2, q1.copy(), q2.copy(), tau=0.005)
+    return sac.CriticEnsemble(q1, q2, q1.copy(), q2.copy())
 
 
 def tiny_batch(rng, B=3, L=4, n=2, obs_dim=3, act_dim=2, full=True):
@@ -555,6 +555,14 @@ class TestTemperature:
         _, grad = sac.temperature_loss(lp, state.value, target_entropy=2.0)
         state.step(grad, lr=1e-2)
         assert state.value < np.log(0.2)
+
+    @pytest.mark.parametrize("value, grad, lr", [(-1.3, 1e160, 1e-2), (-1.3, np.inf, 1e-2), (-1.3, np.nan, 1e-2), (1.7e308, -10.0, 1e308)])
+    def test_scalar_adam_aborts_on_overflow_before_touching_state(self, value, grad, lr):
+        # the second moment or the value itself leaves the float range
+        state = sac.ScalarAdam(value=value, m=0.2, v=0.01, t=7)
+        with np.errstate(over="ignore"), pytest.raises(NumericFault):
+            state.step(grad, lr=lr)
+        assert state == sac.ScalarAdam(value=value, m=0.2, v=0.01, t=7)
 
     def test_fixed_point_iteration_converges(self):
         # synthetic fixed policy: entropy depends on alpha through a known
