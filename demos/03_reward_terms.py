@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Walk through every coordinate of the reward vector and the windowed
-environment reward, then scalarize with the two curriculum weightings.
+environment reward, then weight one reward vector with the two
+curriculum weightings.
 """
 
 import numpy as np
@@ -35,6 +36,6 @@ print("\nreward vector")
 for name, x in zip(rewards.TERM_NAMES, r):
     print(f"  {name:<10} {x:+.2f}")
 
-# Scalarization under both curriculum weightings.
-print("pretrain scalar    ", rewards.scalarize(r, rewards.PRETRAIN_WEIGHTS))
-print("finetune scalar    ", rewards.scalarize(r, rewards.FINETUNE_WEIGHTS))
+# The scalar reward under both curriculum weightings.
+print("pretrain scalar    ", r @ rewards.PRETRAIN_WEIGHTS)
+print("finetune scalar    ", r @ rewards.FINETUNE_WEIGHTS)

@@ -6,7 +6,7 @@ critic with a brand-new reward head.
 
 import numpy as np
 
-from fieldsac import sac
+from fieldsac import nn, sac
 from fieldsac.rewards import NUM_TERMS
 
 rng = np.random.default_rng(3)
@@ -52,10 +52,12 @@ trimmed = sac.remove_reward_term(extended, NUM_TERMS)
 qt, _ = trimmed.forward(x, want_tape=False)
 print(f"remove round-trips exactly: {bool(np.array_equal(qt, q1))}")
 
-# Temperature moves toward the entropy target.
-state = sac.ScalarAdam(value=np.log(0.2))
+# Temperature moves toward the entropy target: log(alpha) is a one-element
+# arena that steps through the networks' Adam.
+log_alpha = sac.log_alpha_arena(np.log(0.2))
 log_probs = np.full(64, -0.4)  # entropy 0.4 nat, target 2.0: too deterministic
 for _ in range(200):
-    _, grad = sac.temperature_loss(log_probs, state.value, target_entropy=2.0)
-    state.step(grad, lr=1e-2)
-print(f"\nalpha grew from 0.200 to {np.exp(state.value):.3f} because entropy sat below target")
+    _, grad = sac.temperature_loss(log_probs, log_alpha.params[0], target_entropy=2.0)
+    log_alpha.grads[0] = grad
+    nn.adam_step(log_alpha, lr=1e-2)
+print(f"\nalpha grew from 0.200 to {np.exp(log_alpha.params[0]):.3f} because entropy sat below target")

@@ -22,7 +22,7 @@ from . import nn, policy
 from .config import require, require_finite
 from .env import FIELD_DIM
 from .errors import ConfigError, NumericFault
-from .sac import VectorCritic
+from .sac import VectorCritic, build_actor
 
 
 @dataclass
@@ -50,17 +50,11 @@ class DistillConfig:
         return self.lr_actor * scale, self.lr_critic * scale
 
 
-def build_student_actor(teacher: nn.Network, field_dim: int, hidden: int, rng: np.random.Generator) -> nn.Network:
-    """Freshly initialized actor with the field block appended to the input."""
-    return nn.build_mlp(teacher.in_dim + field_dim, hidden, teacher.out_dim, rng, activation="elu", out_scale=0.01)
-
-
-def build_student_critic(teacher: VectorCritic, obs_dim: int, act_dim: int, field_dim: int, hidden: int, rng: np.random.Generator) -> VectorCritic:
-    """Freshly initialized critic over (obs ++ field ++ action)."""
-    if teacher.net.in_dim != obs_dim + act_dim:
-        raise ConfigError(f"teacher critic expects {teacher.net.in_dim} inputs, not obs {obs_dim} + act {act_dim}")
-    net = nn.build_mlp(obs_dim + field_dim + act_dim, hidden, teacher.n_terms, rng, activation="relu")
-    return VectorCritic(net)
+def check_teacher_critic(critic: VectorCritic, actor: nn.Network) -> None:
+    """A teacher critic read from disk must take its actor's (obs ++ action) rows."""
+    obs_dim, act_dim = actor.in_dim, actor.out_dim // 2
+    if critic.net.in_dim != obs_dim + act_dim:
+        raise ConfigError(f"teacher critic expects {critic.net.in_dim} inputs, not obs {obs_dim} + act {act_dim}")
 
 
 def clone_actor_into_student(teacher: nn.Network, field_dim: int) -> nn.Network:
@@ -250,14 +244,17 @@ def run_distillation(
 ) -> tuple[nn.Network, VectorCritic, list[DistillStepResult]]:
     """Full distillation loop over uniformly sampled stored states.
 
+    Fresh students take the field block after the teacher's obs inputs.
     Stops at ``cfg.max_steps`` or once the running-mean KL drops under
-    ``cfg.kl_stop``.  Optionally appends a (step, kl_loss, q_loss) CSV.
+    ``cfg.kl_stop``.  Optionally writes a (step, kl_loss, q_loss) CSV with
+    every 100th step, the last step and the stopping step, each once.
     """
+    check_teacher_critic(teacher_critic, teacher_actor)
     rng = np.random.default_rng(cfg.seed)
-    obs_dim = teacher_actor.in_dim
+    obs_dim = teacher_actor.in_dim + cfg.field_dim
     act_dim = teacher_actor.out_dim // 2
-    student_actor = build_student_actor(teacher_actor, cfg.field_dim, cfg.student_hidden, rng)
-    student_critic = build_student_critic(teacher_critic, obs_dim, act_dim, cfg.field_dim, cfg.student_hidden, rng)
+    student_actor = build_actor(obs_dim, act_dim, cfg.student_hidden, rng)
+    student_critic = VectorCritic.build(obs_dim, act_dim, cfg.student_hidden, rng, teacher_critic.n_terms)
     weights = np.asarray(weights, dtype=np.float64)
 
     history: list[DistillStepResult] = []
@@ -270,10 +267,10 @@ def run_distillation(
         recent.append(res.kl_loss)
         if len(recent) > 50:
             recent.pop(0)
-        if (step % 100) == 0 or step == cfg.max_steps - 1:
+        stop = len(recent) == 50 and float(np.mean(recent)) < cfg.kl_stop
+        if step % 100 == 0 or step == cfg.max_steps - 1 or stop:
             rows.append(f"{step},{res.kl_loss!r},{res.q_loss!r}")
-        if len(recent) == 50 and float(np.mean(recent)) < cfg.kl_stop:
-            rows.append(f"{step},{res.kl_loss!r},{res.q_loss!r}")
+        if stop:
             break
     if metrics_path is not None:
         os.makedirs(os.path.dirname(metrics_path) or ".", exist_ok=True)

@@ -67,6 +67,7 @@ names the first layer whose output stopped being finite.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from functools import partial
@@ -580,38 +581,62 @@ def _layer_norm_grad(
     return dxhat
 
 
-def adam_step_net(net: Network, lr: float, beta1: float = ADAM_BETA1, beta2: float = ADAM_BETA2, eps: float = ADAM_EPS) -> None:
-    """One bias-corrected Adam step over the whole arena: every block, one
-    step count.  Zeroes the gradients.  A gradient whose second-moment
-    term ``(1 - beta2) * g * g`` is not finite (a non-finite gradient, or
-    one past about 1e154) aborts before touching any state.
+def adam_step(arena: Arena, lr: float) -> None:
+    """One bias-corrected Adam step over a whole arena (a network's, or the
+    one-element arena of log(alpha)): every parameter, one step count.
+    Zeroes the gradients.  Raises NumericFault, with the arena as it was, when
+    ``(1 - beta2) * g * g``, the bias-corrected ``v / c2`` or a new
+    parameter is not finite.
     """
-    arena = net.arena
+    t = arena.step_count + 1
+    c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+    # Each |x_i| <= sqrt(x @ x), v >= 0 keeps the square root real and the
+    # step's denominator is at least eps: a bound under 1e300 proves every
+    # value of the step finite.  A step it cannot bound runs on a copy first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gg, mm, pp = (float(x @ x) for x in (arena.grads, arena.m, arena.params))
+        v_hat = (float(arena.v.max(initial=0.0)) + gg) / c2
+        bound = v_hat + math.sqrt(pp) + abs(lr) * (math.sqrt(mm) + math.sqrt(gg)) / c1 / ADAM_EPS
+    if not (bound < 1e300 and arena.v.min(initial=0.0) >= 0.0):
+        trial = arena.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            _adam_update(trial, lr)
+            if not math.isfinite(trial.v.max(initial=0.0) / c2):
+                raise NumericFault("non-finite or overflowing gradient or second moment; Adam step aborted")
+            if not math.isfinite(np.abs(trial.params).max(initial=0.0)):
+                raise NumericFault("a parameter would leave the float range; Adam step aborted")
+    _adam_update(arena, lr)
+
+
+def _adam_update(arena: Arena, lr: float) -> None:
     p, gr, m, v = arena.params, arena.grads, arena.m, arena.v
+    arena.step_count += 1
+    t = arena.step_count
+    c1 = 1.0 - ADAM_BETA1**t
+    c2 = 1.0 - ADAM_BETA2**t
     # v += (1 - beta2) * g * g;  m += (1 - beta1) * g;
     # p -= lr * (m / c1) / (sqrt(v / c2) + eps): the same operations in the
     # same order, with one scratch vector and the spent gradient as another
-    tmp = np.multiply(gr, 1.0 - beta2)
+    tmp = np.multiply(gr, 1.0 - ADAM_BETA2)
     tmp *= gr
-    if not np.isfinite(tmp).all():
-        raise NumericFault("non-finite or overflowing gradient; Adam step aborted")
-    arena.step_count += 1
-    t = arena.step_count
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
-    v *= beta2
+    v *= ADAM_BETA2
     v += tmp
-    np.multiply(gr, 1.0 - beta1, out=tmp)
-    m *= beta1
+    np.multiply(gr, 1.0 - ADAM_BETA1, out=tmp)
+    m *= ADAM_BETA1
     m += tmp
     np.divide(v, c2, out=gr)
     np.sqrt(gr, out=gr)
-    gr += eps
+    gr += ADAM_EPS
     np.divide(m, c1, out=tmp)
     tmp *= lr
     tmp /= gr
     p -= tmp
     gr[:] = 0.0
+
+
+def adam_step_net(net: Network, lr: float) -> None:
+    """``adam_step`` over the network's arena, then a version bump."""
+    adam_step(net.arena, lr)
     net.bump_version()
 
 

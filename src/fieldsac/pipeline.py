@@ -34,7 +34,7 @@ from .env import ACT_DIM, FIELD_DIM, OBS_STUDENT_DIM, OBS_TEACHER_DIM, STATE_DIM
 from .errors import ConfigError, FieldsacError, NumericFault
 from .replay import AnnealSchedule, PrioritizedStore, SegmentCutter
 from .rewards import R_ENTROPY, EnvRewardConfig, TERM_NAMES
-from .sac import CriticEnsemble, SacHyper, ScalarAdam, VectorCritic
+from .sac import CriticEnsemble, SacHyper, VectorCritic
 
 SINK_REACH_RADIUS = 0.5
 
@@ -171,14 +171,13 @@ class Learner:
         hub: PolicySnapshotHub,
         actor: nn.Network,
         ensemble: CriticEnsemble,
-        log_alpha: ScalarAdam | None = None,
     ):
         self.cfg = cfg
         self.store = store
         self.hub = hub
         self.actor = actor
         self.ensemble = ensemble
-        self.log_alpha = log_alpha or ScalarAdam(value=float(np.log(cfg.init_alpha)))
+        self.log_alpha = sac.log_alpha_arena(np.log(cfg.init_alpha))
         self.hyper = SacHyper(
             weights=cfg.weights,
             gamma=cfg.gamma,
@@ -197,7 +196,7 @@ class Learner:
 
     @property
     def alpha(self) -> float:
-        return float(np.exp(self.log_alpha.value))
+        return float(np.exp(self.log_alpha.params[0]))
 
     def allowed_steps(self, segments_appended: int) -> int:
         return int(self.cfg.replay_ratio * segments_appended / self.cfg.num_samplers)
@@ -224,8 +223,9 @@ class Learner:
         aloss, log_probs = sac.actor_loss(obs_rows, self.ensemble, self.actor, self.alpha, self.hyper, rng=self.rng)
         nn.adam_step_net(self.actor, self.cfg.lr_actor)
 
-        tloss, tgrad = sac.temperature_loss(log_probs, self.log_alpha.value, self.cfg.target_entropy)
-        self.log_alpha.step(tgrad, self.cfg.lr_alpha)
+        tloss, tgrad = sac.temperature_loss(log_probs, self.log_alpha.params[0], self.cfg.target_entropy)
+        self.log_alpha.grads[0] = tgrad
+        nn.adam_step(self.log_alpha, self.cfg.lr_alpha)
 
         self.ensemble.soft_update(self.cfg.tau)
         self.store.update_priorities(ids, res.segment_priorities)
@@ -252,7 +252,7 @@ _CKPT_FORMAT = "fieldsac-checkpoint-v1"
 class CheckpointBundle:
     actor: nn.Network
     ensemble: CriticEnsemble
-    log_alpha: ScalarAdam
+    log_alpha: nn.Arena  # one element: log(alpha) and its Adam state
     stage: str
     learner_steps: int
     env_steps: int
@@ -262,7 +262,7 @@ def save_checkpoint(
     directory: str,
     actor: nn.Network,
     ensemble: CriticEnsemble,
-    log_alpha: ScalarAdam,
+    log_alpha: nn.Arena,
     cfg: TrainConfig,
     learner_steps: int = 0,
     env_steps: int = 0,
@@ -273,10 +273,10 @@ def save_checkpoint(
     meta = {
         "format": _CKPT_FORMAT,
         "stage": cfg.stage,
-        "log_alpha": float(log_alpha.value).hex(),
-        "alpha_m": float(log_alpha.m).hex(),
-        "alpha_v": float(log_alpha.v).hex(),
-        "alpha_t": log_alpha.t,
+        "log_alpha": float(log_alpha.params[0]).hex(),
+        "alpha_m": float(log_alpha.m[0]).hex(),
+        "alpha_v": float(log_alpha.v[0]).hex(),
+        "alpha_t": log_alpha.step_count,
         "learner_steps": learner_steps,
         "env_steps": env_steps,
     }
@@ -291,12 +291,10 @@ def save_checkpoint(
 
 def load_checkpoint(directory: str) -> CheckpointBundle:
     meta = artifacts.Manifest(os.path.join(directory, "meta.txt"), "checkpoint")
-    log_alpha = ScalarAdam(
-        value=meta.get("log_alpha", float.fromhex),
-        m=meta.get("alpha_m", float.fromhex),
-        v=meta.get("alpha_v", float.fromhex),
-        t=meta.get("alpha_t", int),
-    )
+    log_alpha = sac.log_alpha_arena(meta.get("log_alpha", float.fromhex))
+    log_alpha.m[0] = meta.get("alpha_m", float.fromhex)
+    log_alpha.v[0] = meta.get("alpha_v", float.fromhex)
+    log_alpha.step_count = meta.get("alpha_t", int)
     meta.get("format", artifacts.one_of(_CKPT_FORMAT))
     nets = {name: nn.load_network(os.path.join(directory, name)) for name in _CKPT_NETS}
     ensemble = CriticEnsemble(
@@ -491,7 +489,7 @@ class TrainResult:
 
 def build_learner_nets(cfg: TrainConfig, rng: np.random.Generator) -> tuple[nn.Network, CriticEnsemble]:
     obs_dim = obs_dim_for_stage(cfg.stage)
-    actor = nn.build_mlp(obs_dim, cfg.hidden, 2 * ACT_DIM, rng, activation="elu", out_scale=0.01)
+    actor = sac.build_actor(obs_dim, ACT_DIM, cfg.hidden, rng)
     ensemble = CriticEnsemble.build(obs_dim, ACT_DIM, cfg.hidden, rng)
     return actor, ensemble
 
@@ -531,7 +529,6 @@ def train_stage(
         capacity=cfg.capacity,
         alpha=cfg.anneal_start,
         beta=cfg.anneal_start,
-        eta=cfg.eta,
         n_tail=cfg.n_step,
     )
     assert len(store) == 0  # every stage starts from an empty replay
@@ -668,8 +665,9 @@ def run_distill_stage(teacher_ckpt_dir: str, replay_dir: str, out_dir: str, dcfg
     student_actor, student_q1, hist1 = distill.run_distillation(bundle.actor, bundle.ensemble.q1, train_states, weights, dcfg, metrics_path)
     # the second twin reuses the distilled actor and only fits its critic
     rng2 = np.random.default_rng(dcfg.seed + 1)
-    student_q2 = distill.build_student_critic(
-        bundle.ensemble.q2, bundle.actor.in_dim, bundle.actor.out_dim // 2, dcfg.field_dim, dcfg.student_hidden, rng2
+    distill.check_teacher_critic(bundle.ensemble.q2, bundle.actor)
+    student_q2 = VectorCritic.build(
+        bundle.actor.in_dim + dcfg.field_dim, bundle.actor.out_dim // 2, dcfg.student_hidden, rng2, bundle.ensemble.q2.n_terms
     )
     for step in range(len(hist1)):
         idx = rng2.integers(0, train_states.shape[0], size=dcfg.batch)
@@ -679,7 +677,7 @@ def run_distill_stage(teacher_ckpt_dir: str, replay_dir: str, out_dir: str, dcfg
     teacher_unchanged = [distill.network_fingerprint(net) for net in teacher_nets] == fp_before
     ensemble = CriticEnsemble(student_q1, student_q2, student_q1.copy(), student_q2.copy())
     cfg = TrainConfig(stage="finetune")
-    ckpt_dir = save_checkpoint(os.path.join(out_dir, "checkpoint"), student_actor, ensemble, ScalarAdam(value=float(np.log(cfg.init_alpha))), cfg)
+    ckpt_dir = save_checkpoint(os.path.join(out_dir, "checkpoint"), student_actor, ensemble, sac.log_alpha_arena(np.log(cfg.init_alpha)), cfg)
     artifacts.write_manifest(
         os.path.join(out_dir, "verify.txt"),
         {

@@ -61,10 +61,10 @@ class AnnealSchedule:
 class Segment:
     """One replay unit.
 
-    ``obs`` has seg_len + n_tail rows (trained steps plus the lookahead
-    tail); ``rewards``/``dones`` have seg_len + n_tail - 1 rows so an
+    ``obs`` has SEG_LEN + n_tail rows (trained steps plus the lookahead
+    tail); ``rewards``/``dones`` have SEG_LEN + n_tail - 1 rows so an
     n-step return exists at every trained position; ``actions`` covers
-    the seg_len trained positions.  ``length`` counts real (non-padded)
+    the SEG_LEN trained positions.  ``length`` counts real (non-padded)
     trained steps; rows past the terminal are padding.  Segments that a
     sampler cuts hold env state rows in ``obs`` (see the module docstring).
     """
@@ -78,25 +78,26 @@ class Segment:
     length: int
 
 
-def record_shapes(obs_dim: int, act_dim: int, n_tail: int, seg_len: int = SEG_LEN) -> tuple:
+def record_shapes(obs_dim: int, act_dim: int, n_tail: int) -> tuple:
     """The fields of one stored record, in order: obs, actions, rewards,
     dones (0/1) and keys (episode id, start index, length)."""
-    return ((seg_len + n_tail, obs_dim), (seg_len, act_dim), (seg_len + n_tail - 1, NUM_TERMS), (seg_len + n_tail - 1,), (3,))
+    L = SEG_LEN
+    return ((L + n_tail, obs_dim), (L, act_dim), (L + n_tail - 1, NUM_TERMS), (L + n_tail - 1,), (3,))
 
 
-def record_width(obs_dim: int, act_dim: int, n_tail: int, seg_len: int = SEG_LEN) -> int:
+def record_width(obs_dim: int, act_dim: int, n_tail: int) -> int:
     """Floats in one stored record."""
-    return sum(math.prod(shape) for shape in record_shapes(obs_dim, act_dim, n_tail, seg_len))
+    return sum(math.prod(shape) for shape in record_shapes(obs_dim, act_dim, n_tail))
 
 
-def validate_segment(seg: Segment, seg_len: int = SEG_LEN, n_tail: int | None = None) -> None:
+def validate_segment(seg: Segment, n_tail: int | None = None) -> None:
     """Reject malformed segments with the reason in the message."""
-    L = seg_len
+    L = SEG_LEN
     if seg.actions.ndim != 2 or seg.actions.shape[0] != L:
         raise ConfigError(f"segment rejected: expected {L} action rows, got {seg.actions.shape}")
     tail = seg.obs.shape[0] - L if n_tail is None else n_tail
     if tail < 1 or seg.obs.shape[0] != L + tail:
-        raise ConfigError(f"segment rejected: obs rows {seg.obs.shape[0]} do not equal seg_len + tail")
+        raise ConfigError(f"segment rejected: obs rows {seg.obs.shape[0]} do not equal SEG_LEN + tail")
     if seg.rewards.shape != (L + tail - 1, NUM_TERMS):
         raise ConfigError(f"segment rejected: reward rows {seg.rewards.shape} must be ({L + tail - 1}, {NUM_TERMS})")
     if seg.dones.shape != (L + tail - 1,):
@@ -122,16 +123,15 @@ class SegmentCutter:
     missing rows padded (obs repeats the terminal observation, rewards
     pad with zeros that the learner masks out).
 
-    Episodes shorter than seg_len emit a single padded segment when they
-    have at least seg_len/2 real steps; trailing remainders that are
+    Episodes shorter than SEG_LEN emit a single padded segment when they
+    have at least SEG_LEN // 2 real steps; trailing remainders that are
     already fully covered by the previous segment are dropped.
     """
 
-    def __init__(self, obs_dim: int, act_dim: int, episode_id: int, seg_len: int = SEG_LEN, n_tail: int = 5):
+    def __init__(self, obs_dim: int, act_dim: int, episode_id: int, n_tail: int = 5):
         self.obs_dim = obs_dim
         self.act_dim = act_dim
         self.episode_id = episode_id
-        self.seg_len = seg_len
         self.n_tail = n_tail
         self._obs: list[np.ndarray] = []
         self._acts: list[np.ndarray] = []
@@ -154,8 +154,8 @@ class SegmentCutter:
         self._obs.append(np.asarray(next_obs, dtype=np.float64).reshape(self.obs_dim).copy())
         out: list[Segment] = []
         T = len(self._acts)
-        # a full segment starting at s needs obs row s + seg_len + n_tail - 1
-        while self._next_start + self.seg_len + self.n_tail - 1 <= T:
+        # a full segment starting at s needs obs row s + SEG_LEN + n_tail - 1
+        while self._next_start + SEG_LEN + self.n_tail - 1 <= T:
             out.append(self._cut(self._next_start, T))
             self._next_start += SEG_STRIDE
         if done:
@@ -166,15 +166,15 @@ class SegmentCutter:
     def _flush(self, T: int) -> list[Segment]:
         out = []
         s = self._next_start
-        while s + self.seg_len <= T:  # full-length spans whose tail got truncated
+        while s + SEG_LEN <= T:  # full-length spans whose tail got truncated
             out.append(self._cut(s, T))
             s += SEG_STRIDE
-        if s == 0 and self.seg_len // 2 <= T < self.seg_len:
+        if s == 0 and SEG_LEN // 2 <= T < SEG_LEN:
             out.append(self._cut(0, T))  # short episode: one padded segment
         return out
 
     def _cut(self, s: int, T: int) -> Segment:
-        L, tail = self.seg_len, self.n_tail
+        L, tail = SEG_LEN, self.n_tail
         length = min(L, T - s)
         obs = np.empty((L + tail, self.obs_dim))
         n_real_obs = min(L + tail, T - s + 1)
@@ -293,9 +293,6 @@ class PrioritizedStore:
         capacity: int = DEFAULT_CAPACITY,
         alpha: float = 0.1,
         beta: float = 0.1,
-        eta: float = DEFAULT_ETA,
-        priority_floor: float = PRIORITY_FLOOR,
-        seg_len: int = SEG_LEN,
         n_tail: int = 5,
     ):
         if capacity < 1:
@@ -303,9 +300,6 @@ class PrioritizedStore:
         self.capacity = capacity
         self.alpha = alpha
         self.beta = beta
-        self.eta = eta
-        self.priority_floor = priority_floor
-        self.seg_len = seg_len
         self.n_tail = n_tail
         self._widths = (0, 0)  # (obs_dim, act_dim), fixed by the first append
         self._rec = np.empty((0, 0))
@@ -328,12 +322,12 @@ class PrioritizedStore:
 
         No view of ``_rec`` outlives a method call, so no reference check is needed.
         """
-        self._rec.resize((rows, record_width(*self._widths, self.n_tail, self.seg_len)), refcheck=False)
+        self._rec.resize((rows, record_width(*self._widths, self.n_tail)), refcheck=False)
 
     def _fields(self, rows: np.ndarray) -> list[np.ndarray]:
         """Views of record rows: obs, actions, rewards, dones (0/1), keys."""
         out, off = [], 0
-        for shape in record_shapes(*self._widths, self.n_tail, self.seg_len):
+        for shape in record_shapes(*self._widths, self.n_tail):
             n = math.prod(shape)
             out.append(rows[:, off : off + n].reshape(len(rows), *shape))
             off += n
@@ -344,7 +338,7 @@ class PrioritizedStore:
 
     def append(self, seg: Segment, priority: float | None = None):
         """Store a segment; returns its (slot, generation) id."""
-        validate_segment(seg, self.seg_len, self.n_tail)
+        validate_segment(seg, self.n_tail)
         if seg.obs.ndim != 2:
             raise ConfigError(f"segment rejected: obs must be 2-D, got shape {seg.obs.shape}")
         widths = (seg.obs.shape[1], seg.actions.shape[1])
@@ -352,10 +346,10 @@ class PrioritizedStore:
             raise ConfigError(f"segment rejected: obs/action widths {widths} differ from the store's {self._widths}")
         self._widths = widths
         raw = float(priority) if priority is not None else (self._max_raw if self._size else 1.0)
-        if raw < self.priority_floor:
+        if raw < PRIORITY_FLOOR:
             if raw < 0.0:
                 self.clamped_priorities += 1
-            raw = self.priority_floor
+            raw = PRIORITY_FLOOR
         slot = self._next
         if slot < self._size:
             self.evicted_total += 1
@@ -430,10 +424,10 @@ class PrioritizedStore:
             if self._gen[slot] != gen or slot >= len(self):
                 self.stale_updates += 1
                 continue
-            if raw < self.priority_floor:
+            if raw < PRIORITY_FLOOR:
                 if raw < 0.0:
                     self.clamped_priorities += 1
-                raw = self.priority_floor
+                raw = PRIORITY_FLOOR
             slots.append(slot)
             values.append(raw)
         if not slots:
@@ -462,9 +456,6 @@ class PrioritizedStore:
             "next": self._next,
             "alpha": repr(self.alpha),
             "beta": repr(self.beta),
-            "eta": repr(self.eta),
-            "priority_floor": repr(self.priority_floor),
-            "seg_len": self.seg_len,
             "n_tail": self.n_tail,
             "obs_dim": self._widths[0],
             "act_dim": self._widths[1],
@@ -496,9 +487,6 @@ class PrioritizedStore:
             capacity=man.get("capacity", int),
             alpha=man.get("alpha", float),
             beta=man.get("beta", float),
-            eta=man.get("eta", float),
-            priority_floor=man.get("priority_floor", float),
-            seg_len=man.get("seg_len", int),
             n_tail=man.get("n_tail", int),
         )
         size, next_slot = man.get("size", int), man.get("next", int)
@@ -527,5 +515,5 @@ class PrioritizedStore:
         if not self._size:
             raise NotReadyError("store is empty")
         obs, _, _, _, keys = self._fields(self._rec[: self._size])
-        return obs[:, : self.seg_len][np.arange(self.seg_len) < keys[:, 2:]]
+        return obs[:, :SEG_LEN][np.arange(SEG_LEN) < keys[:, 2:]]
 

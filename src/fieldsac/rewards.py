@@ -112,12 +112,3 @@ def env_reward_partial(cfg: EnvRewardConfig, v_body, v_tgt, actions) -> float:
     k = np.asarray(v_body).shape[0]
     return env_reward(replace(cfg, window=k), v_body, v_tgt, actions)
 
-
-def scalarize(r, w) -> float:
-    """Weighted sum of a reward vector under finite weights, both 7-vectors."""
-    r, w = np.asarray(r, dtype=np.float64), np.asarray(w, dtype=np.float64)
-    if r.shape != (NUM_TERMS,) or w.shape != (NUM_TERMS,):
-        raise ConfigError(f"scalarize expects {NUM_TERMS}-vectors")
-    if not np.isfinite(w).all():
-        raise ConfigError("weights must be finite")
-    return float(r @ w)

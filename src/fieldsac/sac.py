@@ -1,6 +1,7 @@
 """Learner mathematics: twin vector-headed critics, squashed-Gaussian
 actor, n-step targets with invertible value rescaling, and automatic
-temperature tuning.
+temperature tuning (log(alpha) is a one-element ``nn.Arena``, stepped
+by the same ``nn.adam_step`` as every network).
 
 Each critic outputs one Q-value per reward coordinate; the actor
 optimizes against the weighted sum of the per-coordinate twin minima.
@@ -76,6 +77,12 @@ class SacHyper:
 
     def rescale_inv(self, y):
         return h_inv(y, self.rescale_eps) if self.use_rescale else np.asarray(y, dtype=np.float64)
+
+
+def build_actor(obs_dim: int, act_dim: int, hidden: int, rng: np.random.Generator) -> nn.Network:
+    """Freshly initialized actor: ELU trunk, ``2 * act_dim`` outputs (mean
+    and log-std per action), final layer initialized 100x smaller."""
+    return nn.build_mlp(obs_dim, hidden, 2 * act_dim, rng, activation="elu", out_scale=0.01)
 
 
 class VectorCritic:
@@ -367,24 +374,9 @@ def temperature_loss(log_probs: np.ndarray, log_alpha: float, target_entropy: fl
     return loss, -alpha * c
 
 
-@dataclass
-class ScalarAdam:
-    """Adam state for a single scalar (the log-temperature)."""
-
-    value: float
-    m: float = 0.0
-    v: float = 0.0
-    t: int = 0
-
-    def step(self, grad: float, lr: float, beta1: float = nn.ADAM_BETA1, beta2: float = nn.ADAM_BETA2, eps: float = nn.ADAM_EPS) -> None:
-        """One Adam step; a non-finite or overflowing second moment or value
-        aborts before touching any state."""
-        t = self.t + 1
-        v = beta2 * self.v + (1 - beta2) * grad * grad
-        if not np.isfinite(v):
-            raise NumericFault("non-finite or overflowing gradient for scalar parameter")
-        m = beta1 * self.m + (1 - beta1) * grad
-        value = self.value - lr * (m / (1 - beta1**t)) / (np.sqrt(v / (1 - beta2**t)) + eps)
-        if not np.isfinite(value):
-            raise NumericFault("scalar parameter overflowed")
-        self.t, self.m, self.v, self.value = t, m, v, value
+def log_alpha_arena(value: float) -> nn.Arena:
+    """log(alpha) as ``params[0]`` of a one-element arena with fresh Adam
+    state; ``nn.adam_step`` trains it like any network's arena."""
+    arena = nn.Arena(1)
+    arena.params[0] = value
+    return arena

@@ -12,12 +12,17 @@ def teacher_pair(rng, obs_dim=6, act_dim=2, hidden=8):
     return actor, critic
 
 
+def student_pair(actor, critic, field_dim, hidden, rng):
+    """Fresh students as ``run_distillation`` builds them."""
+    obs_dim, act_dim = actor.in_dim + field_dim, actor.out_dim // 2
+    return sac.build_actor(obs_dim, act_dim, hidden, rng), sac.VectorCritic.build(obs_dim, act_dim, hidden, rng, critic.n_terms)
+
+
 class TestBuildStudent:
     def test_toy_dimension_arithmetic(self):
         rng = np.random.default_rng(0)
         actor, critic = teacher_pair(rng)
-        s_actor = distill.build_student_actor(actor, field_dim=242, hidden=16, rng=rng)
-        s_critic = distill.build_student_critic(critic, 6, 2, field_dim=242, hidden=16, rng=rng)
+        s_actor, s_critic = student_pair(actor, critic, field_dim=242, hidden=16, rng=rng)
         assert s_actor.in_dim == 248
         assert s_critic.net.in_dim == 250
         assert s_actor.out_dim == actor.out_dim
@@ -26,24 +31,25 @@ class TestBuildStudent:
     def test_zero_field_dim_matches_teacher_dims(self):
         rng = np.random.default_rng(1)
         actor, critic = teacher_pair(rng)
-        s_actor = distill.build_student_actor(actor, field_dim=0, hidden=16, rng=rng)
-        s_critic = distill.build_student_critic(critic, 6, 2, field_dim=0, hidden=16, rng=rng)
+        s_actor, s_critic = student_pair(actor, critic, field_dim=0, hidden=16, rng=rng)
         assert s_actor.in_dim == actor.in_dim
         assert s_critic.net.in_dim == critic.net.in_dim
 
     def test_student_forward_on_zero_field_is_finite(self):
         rng = np.random.default_rng(2)
         actor, _ = teacher_pair(rng)
-        s_actor = distill.build_student_actor(actor, 242, 16, rng)
+        s_actor = sac.build_actor(6 + 242, 2, 16, rng)
         x = np.concatenate([rng.standard_normal((3, 6)), np.zeros((3, 242))], axis=1)
         out, _ = nn.forward(s_actor, x, want_tape=False)
         assert np.isfinite(out).all()
 
     def test_mismatched_teacher_critic_dims_rejected(self):
         rng = np.random.default_rng(3)
-        _, critic = teacher_pair(rng)
-        with pytest.raises(ConfigError):
-            distill.build_student_critic(critic, obs_dim=5, act_dim=2, field_dim=4, hidden=8, rng=rng)
+        actor, _ = teacher_pair(rng)
+        _, critic = teacher_pair(rng, obs_dim=5)
+        cfg = distill.DistillConfig(field_dim=4, batch=8, student_hidden=8, max_steps=1)
+        with pytest.raises(ConfigError, match="teacher critic expects 7 inputs"):
+            distill.run_distillation(actor, critic, rng.standard_normal((16, 6)), np.ones(NUM_TERMS), cfg)
 
 
 class TestClone:
@@ -86,8 +92,7 @@ class TestDistillStep:
         rng = np.random.default_rng(7)
         actor, critic = teacher_pair(rng)
         cfg = distill.DistillConfig(field_dim=8, batch=16, student_hidden=8)
-        s_actor = distill.build_student_actor(actor, 8, 8, rng)
-        s_critic = distill.build_student_critic(critic, 6, 2, 8, 8, rng)
+        s_actor, s_critic = student_pair(actor, critic, 8, 8, rng)
         for _ in range(20):
             states = rng.standard_normal((16, 6))
             res = distill.distill_step(s_actor, s_critic, actor, critic, states, rng, cfg, np.ones(NUM_TERMS))
@@ -125,7 +130,7 @@ class TestDistillStep:
         for _ in range(50):
             actor, critic = teacher_pair(rng, obs_dim=3, act_dim=2, hidden=6)
             cfg = distill.DistillConfig(field_dim=2, batch=4, student_hidden=6)
-            s_actor = distill.build_student_actor(actor, 2, 6, rng)
+            s_actor = sac.build_actor(3 + 2, 2, 6, rng)
             states = rng.standard_normal((4, 3))
             noise = rng.normal(0, cfg.noise_std, (4, 2))
             student_in = np.concatenate([states, noise], axis=1)
@@ -219,7 +224,7 @@ class TestVerify:
     def test_random_student_fails_thresholds(self):
         rng = np.random.default_rng(13)
         actor, _ = teacher_pair(rng)
-        random_student = distill.build_student_actor(actor, 8, 16, np.random.default_rng(999))
+        random_student = sac.build_actor(6 + 8, 2, 16, np.random.default_rng(999))
         report = distill.verify_distillation(random_student, actor, rng.standard_normal((32, 6)) * 2, 8)
         assert not report.passed
 
@@ -249,3 +254,15 @@ class TestVerify:
         assert len(rows) >= 2
         step, kl, q = rows[1].split(",")
         assert float(kl) >= 0.0 and float(q) >= 0.0
+
+    def test_stopping_step_written_once(self, tmp_path):
+        # the stop lands on step 49 = max_steps - 1, a logged step: its row
+        # used to appear twice
+        rng = np.random.default_rng(15)
+        actor, critic = teacher_pair(rng, obs_dim=2, act_dim=1, hidden=6)
+        cfg = distill.DistillConfig(field_dim=2, batch=8, student_hidden=6, max_steps=50, kl_stop=1e9)
+        path = str(tmp_path / "distill.csv")
+        _, _, history = distill.run_distillation(actor, critic, rng.standard_normal((32, 2)), np.ones(NUM_TERMS), cfg, metrics_path=path)
+        with open(path) as f:
+            steps = [row.split(",")[0] for row in f.read().strip().split("\n")[1:]]
+        assert len(history) == 50 and steps == ["0", "49"]

@@ -610,6 +610,34 @@ class TestWholeVectorUpdates:
         for name in ("params", "m", "v"):
             assert _same_bits(getattr(net.arena, name), getattr(before, name))
 
+    def test_found_overflow_of_the_bias_corrected_second_moment_faults(self):
+        # (1 - beta2) * g * g = 1e307 passes, v / c2 = 1e310 does not: the
+        # step used to move the weight by 0.0, leave v at 1e307 and succeed
+        net = nn.build_mlp(3, 4, 2, np.random.default_rng(0), activation="relu")
+        net.param_blocks()[0].gw[0, 0] = 1e155
+        before = net.arena.copy()
+        with pytest.raises(NumericFault, match="overflowing"):
+            nn.adam_step_net(net, 1e-3)
+        assert net.arena.step_count == before.step_count and net.version == 0
+        for name in ("params", "grads", "m", "v"):
+            assert _same_bits(getattr(net.arena, name), getattr(before, name)), name
+
+    def test_step_near_the_float_range_keeps_the_formula(self):
+        # a parameter of 1e301 is past the cheap bound, so the step runs on a
+        # copy first; its bits are still the per-element formula's
+        rng = np.random.default_rng(36)
+        arena = nn.Arena(6)
+        arena.params[:] = rng.standard_normal(6)
+        arena.params[2] = 1e301
+        arena.grads[:] = rng.standard_normal(6)
+        p, g = arena.params.copy(), arena.grads.copy()
+        b1, b2, eps = nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS
+        m, v = (1.0 - b1) * g, (1.0 - b2) * g * g
+        nn.adam_step(arena, 1e-2)
+        assert arena.step_count == 1 and not arena.grads.any()
+        assert _same_bits(arena.m, m) and _same_bits(arena.v, v)
+        assert _same_bits(arena.params, p - 1e-2 * (m / (1.0 - b1)) / (np.sqrt(v / (1.0 - b2)) + eps))
+
     def test_soft_update_net_equals_per_block_formula(self):
         online = _trained_net(34)
         target = _trained_net(35)

@@ -48,7 +48,7 @@ def artifact_dirs(tmp_path_factory):
     base = tmp_path_factory.mktemp("artifacts")
     cfg = tiny_cfg()
     actor, ens = pipeline.build_learner_nets(cfg, np.random.default_rng(0))
-    teacher = pipeline.save_checkpoint(str(base / "teacher"), actor, ens, sac.ScalarAdam(value=0.0), cfg)
+    teacher = pipeline.save_checkpoint(str(base / "teacher"), actor, ens, sac.log_alpha_arena(0.0), cfg)
     store, _, _, samplers = fresh_setup(cfg)
     while len(store) < 2:
         samplers[0].tick()
@@ -232,7 +232,7 @@ class TestLearnerLanes:
         arrays = [getattr(n.arena, v) for n in nets for v in ("params", "grads", "m", "v")]
         arrays += [store._raw_p, store._tree.tree]
         la = learner.log_alpha
-        return losses, (la.value, la.m, la.v, la.t), [a.tobytes() for a in arrays]
+        return losses, (la.params.tobytes(), la.m.tobytes(), la.v.tobytes(), la.step_count), [a.tobytes() for a in arrays]
 
     def test_three_steps_same_bytes_on_one_or_two_lanes(self, monkeypatch):
         monkeypatch.setattr(nn, "_BOTH_MIN_WORK", 0)
@@ -282,12 +282,16 @@ class TestCheckpoint:
         cfg = tiny_cfg()
         rng = np.random.default_rng(0)
         actor, ens = pipeline.build_learner_nets(cfg, rng)
-        la = sac.ScalarAdam(value=-1.3, m=0.2, v=0.01, t=7)
+        la = sac.log_alpha_arena(-1.3)
+        la.m[0], la.v[0], la.step_count = 0.2, 0.01, 7
         d = pipeline.save_checkpoint(str(tmp_path / "ck"), actor, ens, la, cfg, 11, 22)
         bundle = pipeline.load_checkpoint(d)
         assert distill.network_fingerprint(bundle.actor) == distill.network_fingerprint(actor)
         assert distill.network_fingerprint(bundle.ensemble.q2_target.net) == distill.network_fingerprint(ens.q2_target.net)
-        assert bundle.log_alpha.value == -1.3 and bundle.log_alpha.t == 7
+        back = bundle.log_alpha
+        assert back.params.size == 1 and back.step_count == 7
+        for name in ("params", "m", "v"):
+            assert getattr(back, name).tobytes() == getattr(la, name).tobytes(), name
         assert bundle.learner_steps == 11 and bundle.env_steps == 22
         assert bundle.stage == "pretrain"
 
@@ -298,7 +302,7 @@ class TestCheckpoint:
     def test_save_that_fails_partway_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
         cfg = tiny_cfg()
         actor, ens = pipeline.build_learner_nets(cfg, np.random.default_rng(0))
-        d = pipeline.save_checkpoint(str(tmp_path / "ck"), actor, ens, sac.ScalarAdam(value=0.0), cfg, 1, 2)
+        d = pipeline.save_checkpoint(str(tmp_path / "ck"), actor, ens, sac.log_alpha_arena(0.0), cfg, 1, 2)
         before = pipeline.checkpoint_fingerprint(d)
         new_actor, new_ens = pipeline.build_learner_nets(cfg, np.random.default_rng(1))
         real, calls = nn.save_network, []
@@ -311,13 +315,13 @@ class TestCheckpoint:
 
         monkeypatch.setattr(nn, "save_network", third_fails)
         with pytest.raises(OSError, match="No space"):
-            pipeline.save_checkpoint(d, new_actor, new_ens, sac.ScalarAdam(value=1.0), cfg, 3, 4)
+            pipeline.save_checkpoint(d, new_actor, new_ens, sac.log_alpha_arena(1.0), cfg, 3, 4)
         monkeypatch.undo()
         assert len(calls) == 3
         assert pipeline.checkpoint_fingerprint(d) == before
         assert os.listdir(tmp_path) == ["ck"]
         assert pipeline.load_checkpoint(d).learner_steps == 1
-        pipeline.save_checkpoint(d, new_actor, new_ens, sac.ScalarAdam(value=1.0), cfg, 3, 4)
+        pipeline.save_checkpoint(d, new_actor, new_ens, sac.log_alpha_arena(1.0), cfg, 3, 4)
         assert pipeline.load_checkpoint(d).learner_steps == 3
         assert os.listdir(tmp_path) == ["ck"]
 
@@ -537,7 +541,7 @@ class TestCli:
     def test_distill_on_a_v1_replay_snapshot_exits_one(self, tmp_path, capsys):
         cfg = tiny_cfg()
         actor, ens = pipeline.build_learner_nets(cfg, np.random.default_rng(0))
-        teacher = pipeline.save_checkpoint(str(tmp_path / "teacher"), actor, ens, sac.ScalarAdam(value=0.0), cfg)
+        teacher = pipeline.save_checkpoint(str(tmp_path / "teacher"), actor, ens, sac.log_alpha_arena(0.0), cfg)
         store, _, _, samplers = fresh_setup(cfg)
         while len(store) < 2:
             samplers[0].tick()

@@ -10,6 +10,7 @@ from scipy import stats
 from fieldsac import artifacts
 from fieldsac.errors import ConfigError, NotReadyError
 from fieldsac.replay import (
+    PRIORITY_FLOOR,
     SEG_LEN,
     SEG_STRIDE,
     AnnealSchedule,
@@ -348,7 +349,7 @@ class TestPrioritizedStore:
         store = PrioritizedStore(capacity=2, alpha=1.0)
         sid = store.append(make_segment(rng), priority=1.0)
         store.update_priorities([sid], [0.0])
-        assert store._raw_p[sid[0]] == pytest.approx(store.priority_floor)
+        assert store._raw_p[sid[0]] == pytest.approx(PRIORITY_FLOOR)
         store.append(make_segment(rng), priority=1.0)
         batch = store.sample(2, np.random.default_rng(18))
         assert len(batch.ids) == 2  # still sampleable
@@ -540,6 +541,30 @@ class TestPrioritizedStore:
             assert (f.read(), g.read()) == before
         assert os.listdir(tmp_path) == ["replay"]
         assert len(PrioritizedStore.load(directory)) == 3
+
+    def test_snapshot_with_the_dropped_keys_loads_bit_exactly(self, tmp_path):
+        # snapshots written before eta, priority_floor and seg_len became
+        # constants carry the three keys; the loader ignores them
+        rng = np.random.default_rng(33)
+        store = PrioritizedStore(capacity=8, alpha=0.6, beta=0.3)
+        for k in range(11):
+            store.append(make_segment(rng, start=SEG_STRIDE * k), priority=float(rng.uniform(0.1, 3.0)))
+        man_path, bin_path = store.save(str(tmp_path / "new"))
+        with open(man_path) as f:
+            text = f.read()
+        assert not {"eta", "priority_floor", "seg_len"} & {ln.partition("=")[0].strip() for ln in text.splitlines()}
+        with open(man_path, "a") as f:
+            f.write("eta = 0.9\npriority_floor = 1e-06\nseg_len = 10\n")
+        loaded = PrioritizedStore.load(str(tmp_path / "new"))
+        for name in ("_rec", "_raw_p", "_gen"):
+            assert getattr(loaded, name).tobytes() == getattr(store, name)[: len(store)].tobytes(), name
+        assert loaded._tree.tree.tobytes() == store._tree.tree.tobytes()
+        assert (loaded.alpha, loaded.beta, loaded._next, loaded._max_raw) == (store.alpha, store.beta, store._next, store._max_raw)
+        assert (loaded.appended_total, loaded.evicted_total) == (store.appended_total, store.evicted_total)
+        again_man, again_bin = loaded.save(str(tmp_path / "again"))
+        for a, b in ((again_man, man_path), (again_bin, bin_path)):
+            with open(a, "rb") as f, open(b, "rb") as g:
+                assert f.read() == g.read().replace(b"eta = 0.9\npriority_floor = 1e-06\nseg_len = 10\n", b"")
 
     def test_load_refuses_v1_snapshots_naming_the_format(self, tmp_path):
         store = PrioritizedStore(capacity=4)

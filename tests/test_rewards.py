@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fieldsac import rewards
 from fieldsac.errors import ConfigError
 from fieldsac.rewards import (
     EnvRewardConfig,
@@ -10,7 +9,6 @@ from fieldsac.rewards import (
     env_reward,
     env_reward_partial,
     pelvis_velocity_bonus,
-    scalarize,
     target_achieve_bonus,
     velocity_deviation_penalty,
 )
@@ -138,33 +136,3 @@ class TestEnvReward:
         cfg = EnvRewardConfig(r_alive=0.1, w_step=1.0, w_vel=0.0, w_eff=0.0, window=10, dt=0.1)
         z = np.zeros((4, 2))
         assert env_reward_partial(cfg, z, z, z) == pytest.approx(0.1 * 4 + 0.4)
-
-
-class TestScalarize:
-    def test_pretrain_weights_on_ones(self):
-        assert scalarize(np.ones(7), rewards.PRETRAIN_WEIGHTS) == pytest.approx(14.0)
-
-    def test_finetune_weights_on_ones(self):
-        assert scalarize(np.ones(7), rewards.FINETUNE_WEIGHTS) == pytest.approx(16.0)
-
-    def test_zero_weights(self):
-        r = np.random.default_rng(4).standard_normal(7)
-        assert scalarize(r, np.zeros(7)) == 0.0
-
-    def test_linearity_over_coordinates(self):
-        rng = np.random.default_rng(5)
-        r = rng.standard_normal(7)
-        w = rng.standard_normal(7)
-        total = scalarize(r, w)
-        parts = 0.0
-        for i in range(7):
-            e = np.zeros(7)
-            e[i] = r[i]
-            parts += scalarize(e, w)
-        assert total == pytest.approx(parts)
-
-    def test_weights_wrapper_validates(self):
-        with pytest.raises(ConfigError):
-            scalarize(np.ones(7), np.array([1.0, np.inf, 0, 0, 0, 0, 0]))
-        with pytest.raises(ConfigError):
-            scalarize(np.ones(7), np.ones(6))

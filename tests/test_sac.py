@@ -541,41 +541,79 @@ class TestTemperature:
         loss, grad = sac.temperature_loss(lp, log_alpha=0.1, target_entropy=1.7)
         assert grad == pytest.approx(0.0, abs=1e-12)
 
+    @staticmethod
+    def _step(log_alpha, log_probs, target, lr):
+        _, grad = sac.temperature_loss(log_probs, log_alpha.params[0], target)
+        log_alpha.grads[0] = grad
+        nn.adam_step(log_alpha, lr)
+
     def test_alpha_rises_when_entropy_below_target(self):
         # -log pi = 0.5 entropy, target 2.0: alpha must grow
-        lp = np.full(32, -0.5)
-        state = sac.ScalarAdam(value=np.log(0.2))
-        _, grad = sac.temperature_loss(lp, state.value, target_entropy=2.0)
-        state.step(grad, lr=1e-2)
-        assert state.value > np.log(0.2)
+        la = sac.log_alpha_arena(np.log(0.2))
+        self._step(la, np.full(32, -0.5), 2.0, lr=1e-2)
+        assert la.params[0] > np.log(0.2)
 
     def test_alpha_falls_when_entropy_above_target(self):
-        lp = np.full(32, -5.0)
-        state = sac.ScalarAdam(value=np.log(0.2))
-        _, grad = sac.temperature_loss(lp, state.value, target_entropy=2.0)
-        state.step(grad, lr=1e-2)
-        assert state.value < np.log(0.2)
+        la = sac.log_alpha_arena(np.log(0.2))
+        self._step(la, np.full(32, -5.0), 2.0, lr=1e-2)
+        assert la.params[0] < np.log(0.2)
+
+    def test_log_alpha_steps_by_the_scalar_adam_formula(self):
+        # the checkpoint's alpha_* keys hold exactly what the scalar formula
+        # in Python floats gives, step after step
+        rng = np.random.default_rng(16)
+        b1, b2, eps = nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS
+        for _ in range(20):
+            la = sac.log_alpha_arena(float(rng.uniform(-3, 1)))
+            value, m, v = float(la.params[0]), 0.0, 0.0
+            lr = float(10 ** rng.uniform(-6, -1))
+            for t in range(1, 51):
+                grad = float(rng.standard_normal() * 10 ** rng.uniform(-8, 3))
+                la.grads[0] = grad
+                nn.adam_step(la, lr)
+                v = b2 * v + (1 - b2) * grad * grad
+                m = b1 * m + (1 - b1) * grad
+                value = value - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+                assert (la.params[0], la.m[0], la.v[0], la.step_count) == (value, m, v, t)
 
     @pytest.mark.parametrize("value, grad, lr", [(-1.3, 1e160, 1e-2), (-1.3, np.inf, 1e-2), (-1.3, np.nan, 1e-2), (1.7e308, -10.0, 1e308)])
     def test_scalar_adam_aborts_on_overflow_before_touching_state(self, value, grad, lr):
-        # the second moment or the value itself leaves the float range
-        state = sac.ScalarAdam(value=value, m=0.2, v=0.01, t=7)
-        with np.errstate(over="ignore"), pytest.raises(NumericFault):
-            state.step(grad, lr=lr)
-        assert state == sac.ScalarAdam(value=value, m=0.2, v=0.01, t=7)
+        # the second moment or the value itself leaves the float range, for
+        # log(alpha) and for the same state as the first element of a network
+        la = sac.log_alpha_arena(value)
+        net = nn.build_mlp(3, 4, 2, np.random.default_rng(17), activation="relu")
+        for arena, step in ((la, lambda: nn.adam_step(la, lr)), (net.arena, lambda: nn.adam_step_net(net, lr))):
+            arena.params[0], arena.m[0], arena.v[0], arena.grads[0], arena.step_count = value, 0.2, 0.01, grad, 7
+            before = arena.copy()
+            with np.errstate(over="ignore"), pytest.raises(NumericFault):
+                step()
+            assert arena.step_count == 7 and net.version == 0
+            for name in ("params", "grads", "m", "v"):
+                assert getattr(arena, name).tobytes() == getattr(before, name).tobytes(), name
+
+    def test_found_overflow_of_the_bias_corrected_second_moment_faults(self):
+        # (1 - beta2) * g * g = 1e307 is finite, v / c2 = 1e310 is not: the
+        # step used to count itself and leave log(alpha) where it was
+        la = sac.log_alpha_arena(-1.3)
+        la.grads[0] = 1e155
+        with pytest.raises(NumericFault, match="overflowing"):
+            nn.adam_step(la, 1e-2)
+        assert la.step_count == 0 and la.params[0] == -1.3 and la.grads[0] == 1e155
+        assert la.m[0] == 0.0 and la.v[0] == 0.0
 
     def test_fixed_point_iteration_converges(self):
         # synthetic fixed policy: entropy depends on alpha through a known
         # smooth map; iterate until the gradient vanishes
-        state = sac.ScalarAdam(value=np.log(0.5))
+        la = sac.log_alpha_arena(np.log(0.5))
         target = 1.3
+
+        def log_probs():
+            entropy = 1.0 + 0.5 * np.tanh(np.exp(la.params[0]))  # rises with alpha
+            return np.full(16, -entropy)
+
         for _ in range(6000):
-            alpha = np.exp(state.value)
-            entropy = 1.0 + 0.5 * np.tanh(alpha)  # rises with alpha
-            lp = np.full(16, -entropy)
-            _, grad = sac.temperature_loss(lp, state.value, target)
-            state.step(grad, lr=3e-3)
-        _, grad = sac.temperature_loss(np.full(16, -(1.0 + 0.5 * np.tanh(np.exp(state.value)))), state.value, target)
+            self._step(la, log_probs(), target, lr=3e-3)
+        _, grad = sac.temperature_loss(log_probs(), la.params[0], target)
         assert abs(grad) < 1e-6
 
     def test_grad_matches_finite_differences(self):
