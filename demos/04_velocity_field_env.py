@@ -8,15 +8,16 @@ import tempfile
 
 import numpy as np
 
-from fieldsac.env import PointMassEnv, local_grid
+from fieldsac.env import PointMassEnv, local_grid, observe
 from fieldsac.pipeline import SinkSeeker, evaluate
 from fieldsac.rewards import R_TAB
 
 out = os.path.join(tempfile.gettempdir(), "fieldsac_trajectories")
 env = PointMassEnv(record_dir=out)
 sr = env.reset(seed=42, difficulty=2)
-print(f"sink at {sr.info['sink']}, field v_max {env.field.v_max:.2f} m/s, ramp {env.field.ramp:.2f}")
-print(f"teacher obs dim {sr.obs_teacher.shape[0]}, student obs dim {sr.obs_student.shape[0]}")
+# the state row: position, velocity, previous action, sink, v_max, ramp
+print(f"sink at {sr.state[6:8]}, field v_max {sr.state[8]:.2f} m/s, ramp {sr.state[9]:.2f}")
+print(f"teacher obs dim {observe(sr.state[None], 'teacher').shape[1]}, student obs dim {observe(sr.state[None], 'student').shape[1]}")
 
 grid = local_grid(env.field, np.zeros(2))
 print(f"local field grid {grid.shape}; center cell = field at agent = {grid[:, 5, 5]}")
@@ -24,12 +25,13 @@ print(f"local field grid {grid.shape}; center cell = field at agent = {grid[:, 5
 controller = SinkSeeker()
 while not sr.done:
     sr = env.step(controller(sr))
-    if sr.info["t"] % 100 == 0:
+    p, v, sink = sr.state[0:2], sr.state[2:4], sr.state[6:8]
+    if env.t % 100 == 0:
         print(
-            f"  t={sr.info['t']:>4}  pos=({sr.info['p'][0]:6.2f},{sr.info['p'][1]:6.2f})  "
-            f"speed={sr.info['speed']:.2f}  dist={sr.info['dist_to_sink']:.2f}  tab={sr.reward[R_TAB]:.2f}"
+            f"  t={env.t:>4}  pos=({p[0]:6.2f},{p[1]:6.2f})  "
+            f"speed={np.linalg.norm(v):.2f}  dist={np.linalg.norm(sink - p):.2f}  tab={sr.reward[R_TAB]:.2f}"
         )
-print(f"episode over at t={sr.info['t']}, final distance {sr.info['dist_to_sink']:.3f} m")
+print(f"episode over at t={env.t}, final distance {np.linalg.norm(sr.state[6:8] - sr.state[0:2]):.3f} m")
 print(f"trajectory CSV written under {out}")
 
 # The scripted controller solves every difficulty-2 layout.

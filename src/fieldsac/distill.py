@@ -92,6 +92,16 @@ class DistillStepResult:
     q_loss: float
 
 
+def _heads(student_actor: nn.Network, teacher_actor: nn.Network, states: np.ndarray, field: np.ndarray, want_tape: bool = False):
+    """The student's policy head on (states ++ field), its log-sigma clamp
+    mask and tape (None unless ``want_tape``), and the teacher's head on states."""
+    s_out, s_tape = nn.forward(student_actor, np.concatenate([states, field], axis=1), want_tape=want_tape)
+    s_head, s_mask = policy.head_from_output(s_out)
+    t_out, _ = nn.forward(teacher_actor, states, want_tape=False)
+    t_head, _ = policy.head_from_output(t_out)
+    return s_head, s_mask, s_tape, t_head
+
+
 def distill_step(
     student_actor: nn.Network,
     student_critic: VectorCritic,
@@ -101,7 +111,6 @@ def distill_step(
     rng: np.random.Generator,
     cfg: DistillConfig,
     weights: np.ndarray,
-    apply_updates: bool = True,
     step_index: int = 0,
 ) -> DistillStepResult:
     """One distillation step on a batch of stored states.
@@ -116,12 +125,7 @@ def distill_step(
     if states.shape[1] != obs_dim:
         raise ConfigError(f"states of width {states.shape[1]} do not match the teacher obs dim {obs_dim}")
     field_noise = rng.normal(0.0, cfg.noise_std, size=(B, cfg.field_dim))
-
-    student_in = np.concatenate([states, field_noise], axis=1)
-    s_out, s_tape = nn.forward(student_actor, student_in)
-    s_head, s_mask = policy.head_from_output(s_out)
-    t_out, _ = nn.forward(teacher_actor, states, want_tape=False)
-    t_head, _ = policy.head_from_output(t_out)
+    s_head, s_mask, s_tape, t_head = _heads(student_actor, teacher_actor, states, field_noise, want_tape=True)
 
     kl_rows = policy.kl_diag_gaussian(s_head, t_head)
     kl_loss = float(kl_rows.mean())
@@ -131,10 +135,9 @@ def distill_step(
     nn.backward(student_actor, s_tape, np.concatenate([dmu, dls], axis=1) / B, want_input_grad=False)
     q_loss = _fit_critic(student_critic, teacher_critic, states, field_noise, s_head, t_head, rng, cfg, weights)
 
-    if apply_updates:
-        lr_a, lr_c = cfg.lr_at(step_index)
-        nn.adam_step_net(student_actor, lr_a)
-        nn.adam_step_net(student_critic.net, lr_c)
+    lr_a, lr_c = cfg.lr_at(step_index)
+    nn.adam_step_net(student_actor, lr_a)
+    nn.adam_step_net(student_critic.net, lr_c)
     return DistillStepResult(kl_loss, q_loss)
 
 
@@ -152,10 +155,7 @@ def distill_critic_only(
     """One squared-error step for a critic whose actor is already distilled."""
     states = np.asarray(states, dtype=np.float64)
     field_noise = rng.normal(0.0, cfg.noise_std, size=(states.shape[0], cfg.field_dim))
-    s_out, _ = nn.forward(student_actor, np.concatenate([states, field_noise], axis=1), want_tape=False)
-    s_head, _ = policy.head_from_output(s_out)
-    t_out, _ = nn.forward(teacher_actor, states, want_tape=False)
-    t_head, _ = policy.head_from_output(t_out)
+    s_head, _, _, t_head = _heads(student_actor, teacher_actor, states, field_noise)
     q_loss = _fit_critic(student_critic, teacher_critic, states, field_noise, s_head, t_head, rng, cfg, weights)
     nn.adam_step_net(student_critic.net, cfg.lr_at(step_index)[1])
     return q_loss
@@ -219,11 +219,8 @@ def verify_distillation(
     observed the field at all.
     """
     holdout_states = np.asarray(holdout_states, dtype=np.float64)
-    student_in = np.concatenate([holdout_states, np.zeros((holdout_states.shape[0], field_dim))], axis=1)
-    s_out, _ = nn.forward(student_actor, student_in, want_tape=False)
-    t_out, _ = nn.forward(teacher_actor, holdout_states, want_tape=False)
-    s_head, _ = policy.head_from_output(s_out)
-    t_head, _ = policy.head_from_output(t_out)
+    field = np.zeros((holdout_states.shape[0], field_dim))
+    s_head, _, _, t_head = _heads(student_actor, teacher_actor, holdout_states, field)
     mean_kl = float(policy.kl_diag_gaussian(s_head, t_head).mean())
     dev = float(np.max(np.abs(policy.deterministic_action(s_head) - policy.deterministic_action(t_head))))
     return DistillReport(mean_kl, dev)

@@ -9,12 +9,12 @@ Observations come in two widths: a 6-real proprioceptive vector (scaled
 position, velocity, previous action) and the 248-real variant that
 appends the flattened 2x11x11 local field grid sampled every 0.5 m
 around the agent.  Both are pure functions of a 10-real env state row
-(position, velocity, previous action, sink, v_max, ramp), which every
-``StepResult`` carries as ``state``.  ``observe`` turns a batch of state
-rows into either width, and a ``StepResult`` builds its observations
-with it when they are read, so a row rebuilt from a stored state is
-byte-equal to the one the env emitted.  Samplers store state rows in
-replay for that reason.
+(position, velocity, previous action, sink, v_max, ramp).  That row is
+the env's whole physical state, and every ``StepResult`` carries a copy
+of it as ``state``.  ``observe`` turns a batch of state rows into either
+width, so an observation rebuilt from a stored state is byte-equal to
+one built at the step.  Samplers store state rows in replay for that
+reason.
 
 A step result's ``reward`` is one (7,) float64 vector in
 ``rewards.TERM_NAMES`` order.  The env fills every term but
@@ -26,7 +26,7 @@ One instance is single-threaded; run one environment per sampler.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -138,30 +138,10 @@ def local_grid(fld: TargetField, p) -> np.ndarray:
 
 
 @dataclass
-class EnvState:
-    p: np.ndarray
-    v: np.ndarray
-    prev_action: np.ndarray
-    t: int
-    episode_id: int
-
-
-@dataclass
 class StepResult:
     reward: np.ndarray  # (NUM_TERMS,) float64 terms in ``rewards.TERM_NAMES`` order
     done: bool
-    state: np.ndarray  # (STATE_DIM,) row that ``observe`` turns into either observation
-    info: dict = field(default_factory=dict)
-
-    @property
-    def obs_teacher(self) -> np.ndarray:
-        """The (6,) teacher observation, built from ``state`` on each read."""
-        return observe(self.state[None], "teacher")[0]
-
-    @property
-    def obs_student(self) -> np.ndarray:
-        """The (248,) student observation, built from ``state`` on each read."""
-        return observe(self.state[None], "student")[0]
+    state: np.ndarray  # the caller's copy of the env's (STATE_DIM,) row
 
 
 def _sample_field(rng: np.random.Generator, difficulty: int, origin: np.ndarray) -> TargetField:
@@ -182,6 +162,8 @@ class PointMassEnv:
         v <- v + dt * (ACCEL_GAIN * action - DRAG * v)
         p <- p + dt * v
     An episode ends at the horizon or when the agent leaves the arena.
+    ``state`` is the env's state row, ``t`` the episode's step count and
+    ``clamp_count`` how many of its actions were clipped into [-1, 1].
     ``record_dir``, when set, dumps one CSV per episode for offline plots:
     the step index, position, velocity, action and the seven reward terms
     as plain decimal numbers, then the done flag.
@@ -200,12 +182,14 @@ class PointMassEnv:
         self.horizon = horizon
         self.arena_radius = arena_radius
         self.record_dir = record_dir
-        self.state: EnvState | None = None
+        self.state: np.ndarray | None = None  # (STATE_DIM,) row, written in place by each step
         self.field: TargetField | None = None
+        self.t = 0
+        self.episode_id = 0
+        self.clamp_count = 0
         self._done = True
         self._rng: np.random.Generator | None = None
         self._difficulty = 0
-        self._clamp_count = 0
         self._window_rows: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self._low_field_streak = 0
         self._respawned = False
@@ -217,11 +201,12 @@ class PointMassEnv:
         self._flush_record()
         self._rng = np.random.default_rng(seed)
         self._difficulty = difficulty
-        origin = np.zeros(2)
-        self.field = _sample_field(self._rng, difficulty, origin)
-        self.state = EnvState(p=origin.copy(), v=np.zeros(2), prev_action=np.zeros(2), t=0, episode_id=seed)
+        self.state = np.zeros(STATE_DIM)
+        self._set_field(_sample_field(self._rng, difficulty, np.zeros(2)))
+        self.t = 0
+        self.episode_id = seed
+        self.clamp_count = 0
         self._done = False
-        self._clamp_count = 0
         self._window_rows = []
         self._low_field_streak = 0
         self._respawned = False
@@ -231,34 +216,35 @@ class PointMassEnv:
             except OSError as e:
                 raise ConfigError(f"cannot create record directory {self.record_dir!r}: {e.strerror}") from None
             self._record_rows = ["t,px,py,vx,vy,ax,ay," + ",".join(f"r{i}" for i in range(NUM_TERMS)) + ",done"]
-        return self._result(np.zeros(NUM_TERMS), done=False)
+        return StepResult(np.zeros(NUM_TERMS), False, self.state.copy())
 
     @property
     def done(self) -> bool:
         return self._done
 
     def step(self, action) -> StepResult:
-        if self._done or self.state is None:
+        if self._done:
             raise ContractViolation("step called on a finished episode; call reset first")
         a = np.asarray(action, dtype=np.float64).reshape(ACT_DIM)
         if np.abs(a).max() > 1.0:
-            self._clamp_count += 1
+            self.clamp_count += 1
             a = np.clip(a, -1.0, 1.0)
 
-        st = self.state
-        st.v = st.v + DT * (ACCEL_GAIN * a - DRAG * st.v)
-        st.p = st.p + DT * st.v
-        st.prev_action = a
-        st.t += 1
-        if not (np.isfinite(st.p).all() and np.isfinite(st.v).all()):
+        row = self.state
+        p, v = row[0:2], row[2:4]
+        v += DT * (ACCEL_GAIN * a - DRAG * v)
+        p += DT * v
+        row[4:6] = a
+        self.t += 1
+        if not np.isfinite(row[0:4]).all():
             self._done = True
-            raise NumericFault(f"non-finite state at step {st.t} of episode {st.episode_id}")
+            raise NumericFault(f"non-finite state at step {self.t} of episode {self.episode_id}")
 
-        v_tgt = field_at(self.field, st.p)
-        self._window_rows.append((st.v.copy(), v_tgt.copy(), a.copy()))
+        v_tgt = field_at(self.field, p)
+        self._window_rows.append((v.copy(), v_tgt, a.copy()))
 
-        out_of_arena = float(np.linalg.norm(st.p)) > self.arena_radius
-        done = st.t >= self.horizon or out_of_arena
+        out_of_arena = float(np.linalg.norm(p)) > self.arena_radius
+        done = self.t >= self.horizon or out_of_arena
         self._done = done
 
         r_env = 0.0
@@ -275,8 +261,8 @@ class PointMassEnv:
         # knows the policy, writes r_entropy
         reward = np.zeros(NUM_TERMS)
         reward[R_ENV] = r_env
-        reward[R_VDP] = velocity_deviation_penalty(st.v, v_tgt)
-        reward[R_PVB] = pelvis_velocity_bonus(st.v, v_tgt, directional=self.directional_pvb)
+        reward[R_VDP] = velocity_deviation_penalty(v, v_tgt)
+        reward[R_PVB] = pelvis_velocity_bonus(v, v_tgt, directional=self.directional_pvb)
         reward[R_DEP] = dense_effort_penalty(a)
         reward[R_TAB] = target_achieve_bonus(v_tgt)
 
@@ -286,37 +272,26 @@ class PointMassEnv:
             else:
                 self._low_field_streak = 0
             if self._low_field_streak >= RESPAWN_HOLD_STEPS:
-                self.field = _sample_field(self._rng, 2, st.p)
+                self._set_field(_sample_field(self._rng, 2, p))
                 self._respawned = True
                 self._low_field_streak = 0
 
-        result = self._result(reward, done)
         if self._record_rows is not None:
-            cells = (*st.p, *st.v, *a, *reward)
-            self._record_rows.append(f"{st.t}," + ",".join(repr(float(x)) for x in cells) + f",{int(done)}")
+            cells = (*row[0:6], *reward)
+            self._record_rows.append(f"{self.t}," + ",".join(repr(float(x)) for x in cells) + f",{int(done)}")
             if done:
                 self._flush_record()
-        return result
+        return StepResult(reward, done, row.copy())
 
-    def _result(self, reward: np.ndarray, done: bool) -> StepResult:
-        st, fld = self.state, self.field
-        v_tgt = field_at(fld, st.p)
-        state = np.concatenate([st.p, st.v, st.prev_action, fld.sink, (fld.v_max, fld.ramp)])
-        info = {
-            "p": st.p.copy(),
-            "v": st.v.copy(),
-            "v_tgt": v_tgt,
-            "speed": float(np.linalg.norm(st.v)),
-            "dist_to_sink": float(np.linalg.norm(self.field.sink - st.p)),
-            "sink": self.field.sink.copy(),
-            "t": st.t,
-            "clamp_count": self._clamp_count,
-        }
-        return StepResult(reward, done, state, info)
+    def _set_field(self, fld: TargetField) -> None:
+        """Make ``fld`` the env's field and write it into the state row."""
+        self.field = fld
+        self.state[6:8] = fld.sink
+        self.state[8:10] = fld.v_max, fld.ramp
 
     def _flush_record(self) -> None:
-        if self._record_rows is not None and self.state is not None and len(self._record_rows) > 1:
-            path = os.path.join(self.record_dir, f"episode_{self.state.episode_id}.csv")
+        if self._record_rows is not None and len(self._record_rows) > 1:
+            path = os.path.join(self.record_dir, f"episode_{self.episode_id}.csv")
             with open(path, "w") as f:
                 f.write("\n".join(self._record_rows) + "\n")
         self._record_rows = None

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import artifacts, distill, nn, policy, sac
 from .config import STAGES, TrainConfig, config_to_text
-from .env import ACT_DIM, FIELD_DIM, OBS_STUDENT_DIM, OBS_TEACHER_DIM, STATE_DIM, PointMassEnv, StepResult, observe
+from .env import ACT_DIM, FIELD_DIM, OBS_STUDENT_DIM, OBS_TEACHER_DIM, STATE_DIM, PointMassEnv, StepResult, TargetField, field_at, observe
 from .errors import ConfigError, FieldsacError, NumericFault
 from .replay import AnnealSchedule, PrioritizedStore, SegmentCutter
 from .rewards import R_ENTROPY, EnvRewardConfig, TERM_NAMES
@@ -41,10 +41,6 @@ SINK_REACH_RADIUS = 0.5
 
 def obs_dim_for_stage(stage: str) -> int:
     return OBS_TEACHER_DIM if stage == "pretrain" else OBS_STUDENT_DIM
-
-
-def pick_obs(sr: StepResult, obs_mode: str) -> np.ndarray:
-    return sr.obs_teacher if obs_mode == "teacher" else sr.obs_student
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +109,7 @@ class Sampler:
         self.env_faults = 0
         self.snapshot = hub.current()
         self._cutter: SegmentCutter | None = None
-        self._last_obs: np.ndarray | None = None
+        self._last_obs: np.ndarray | None = None  # (1, obs dim): the actor's next input row
 
     def _episode_seed(self) -> int:
         return self.cfg.seed * 10_000_000 + (self.sid + 1) * 1_000_000 + self.episode_index
@@ -122,7 +118,7 @@ class Sampler:
         seed = self._episode_seed()
         sr = self.env.reset(seed, self.cfg.difficulty)
         self._cutter = SegmentCutter(STATE_DIM, ACT_DIM, episode_id=seed, n_tail=self.cfg.n_step)
-        self._last_obs = pick_obs(sr, self.cfg.obs_mode)
+        self._last_obs = observe(sr.state[None], self.cfg.obs_mode)
         self._cutter.begin(sr.state)
 
     def tick(self) -> int:
@@ -135,7 +131,7 @@ class Sampler:
                 new = self.hub.current()
                 assert new.version >= self.snapshot.version
                 self.snapshot = new
-            out, _ = nn.forward(self.snapshot.actor, self._last_obs[None, :], want_tape=False)
+            out, _ = nn.forward(self.snapshot.actor, self._last_obs, want_tape=False)
             head, _ = policy.head_from_output(out)
             sampled = policy.sample(head, self.rng.standard_normal(head.mu.shape))
             action = sampled.action[0]
@@ -143,7 +139,7 @@ class Sampler:
             self.env_steps += 1
             sr.reward[R_ENTROPY] = policy.entropy_bonus(sampled, self.snapshot.alpha)[0]
             segments = self._cutter.push(action, sr.reward, sr.done, sr.state)
-            self._last_obs = pick_obs(sr, self.cfg.obs_mode)
+            self._last_obs = observe(sr.state[None], self.cfg.obs_mode)
             for seg in segments:
                 self.store.append(seg, priority=self.store.max_priority())
         except FieldsacError:
@@ -341,8 +337,7 @@ class NetPolicy:
         self.obs_mode = obs_mode
 
     def __call__(self, sr: StepResult) -> np.ndarray:
-        obs = pick_obs(sr, self.obs_mode)
-        out, _ = nn.forward(self.actor, obs[None, :], want_tape=False)
+        out, _ = nn.forward(self.actor, observe(sr.state[None], self.obs_mode), want_tape=False)
         head, _ = policy.head_from_output(out)
         return policy.deterministic_action(head)[0]
 
@@ -359,7 +354,8 @@ class SinkSeeker:
         self.kf = kf
 
     def __call__(self, sr: StepResult) -> np.ndarray:
-        v_tgt, v = sr.info["v_tgt"], sr.info["v"]
+        s = sr.state
+        v, v_tgt = s[2:4], field_at(TargetField(s[6:8], s[8], s[9]), s[0:2])
         return np.clip(self.kp * (v_tgt - v) + self.kf * v_tgt, -1.0, 1.0)
 
 
@@ -410,11 +406,11 @@ def evaluate(
         while not sr.done:
             sr = env.step(policy_fn(sr))
             ep_terms += sr.reward
-            ep_speeds.append(sr.info["speed"])
+            ep_speeds.append(float(np.linalg.norm(sr.state[2:4])))
         totals.append(ep_terms[0])
         term_totals += ep_terms
-        finals.append(sr.info["dist_to_sink"])
-        disps.append(sr.info["p"].copy())
+        finals.append(float(np.linalg.norm(sr.state[6:8] - sr.state[0:2])))
+        disps.append(sr.state[0:2])
         speeds.append(float(np.mean(ep_speeds)))
     totals = np.asarray(totals)
     disp_sum = np.sum(disps, axis=0)

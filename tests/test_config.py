@@ -185,16 +185,14 @@ class TestRejectsConfigsThatCannotTrain:
 
 
 # The property tests below draw configs from bounded ranges so that each
-# run stays small, and so that every value lies where training is well
-# posed.  Large learning rates diverge into a numeric fault (exit 2, the
-# designed code for that): pretrain rates of 0.5 for the actor, the critics
-# and the temperature, or of 1 for the actor and the temperature, faulted
-# on some of these shapes at replay_ratio 16, and 0.3 did not, so pretrain
-# rates stay at or below 0.1.  A replay_ratio of 1e300 asks for about 1e300
-# learner steps.  On top of that, each example sets one numeric key to an
-# edge value.
+# run stays small.  Every rate lies in (0, 1].  Large pretrain rates may
+# diverge into a numeric fault, whose designed outcome is exit 2 with the
+# learner's state saved under faulted/ and no checkpoint/: rates of 0.5
+# for the actor, the critics and the temperature, or of 1 for the actor
+# and the temperature, faulted on some of these shapes at replay_ratio 16.
+# A replay_ratio of 1e300 asks for about 1e300 learner steps.  On top of
+# that, each example sets one numeric key to an edge value.
 EDGES = (0, -1, float("nan"), float("inf"), float("-inf"))
-PRETRAIN_RATE = st.floats(0.0, 0.1, exclude_min=True)
 RATE = st.floats(0.0, 1.0, exclude_min=True)
 
 
@@ -221,13 +219,19 @@ def run_cli(argv: list[str]) -> tuple[int, str]:
     return rc, err.getvalue()
 
 
-def assert_trains_or_names_a_key(rc: int, err: str, values: dict, losses) -> None:
-    """Exit 0 with finite losses, or exit 1 naming one of the keys set."""
-    assert rc in (0, 1), err
+def assert_trains_or_names_a_key(rc: int, err: str, values: dict, losses, run_dir: str | None = None) -> None:
+    """Exit 0 with finite losses, or exit 1 naming one of the keys set.  With
+    ``run_dir``, a train stage's output, also exit 2 on a numeric fault that
+    saved the learner under faulted/ and wrote no checkpoint/."""
+    assert rc in ((0, 1) if run_dir is None else (0, 1, 2)), err
     if rc == 0:
         assert all(math.isfinite(v) for v in losses()), losses()
-    else:
+    elif rc == 1:
         assert err.startswith("error: ") and any(key in err for key in values), err
+    else:
+        assert err.startswith("numeric fault: "), err
+        assert os.path.isfile(os.path.join(run_dir, "faulted", "meta.txt")), err
+        assert not os.path.exists(os.path.join(run_dir, "checkpoint")), err
 
 
 PRETRAIN_CONFIGS = with_edge(
@@ -241,9 +245,9 @@ PRETRAIN_CONFIGS = with_edge(
             "horizon": st.integers(1, 60),
             "n_step": st.integers(1, 8),
             "replay_ratio": st.floats(0.0, 16.0, exclude_min=True),
-            "lr_actor": PRETRAIN_RATE,
-            "lr_critic": PRETRAIN_RATE,
-            "lr_alpha": PRETRAIN_RATE,
+            "lr_actor": RATE,
+            "lr_critic": RATE,
+            "lr_alpha": RATE,
         }
     ),
     TrainConfig,
@@ -293,13 +297,14 @@ class TestEveryAcceptedConfigTrainsOrNamesAKey:
     @example({**SMALL_PRETRAIN, "eval_episodes": 0})
     def test_pretrain(self, values):
         with tempfile.TemporaryDirectory() as tmp:
-            rc, err = run_cli(["pretrain", "--out", os.path.join(tmp, "run"), *flags(values)])
+            run_dir = os.path.join(tmp, "run")
+            rc, err = run_cli(["pretrain", "--out", run_dir, *flags(values)])
 
             def losses():
-                last = pipeline.read_metrics(os.path.join(tmp, "run", "metrics.csv"))[-1]
+                last = pipeline.read_metrics(os.path.join(run_dir, "metrics.csv"))[-1]
                 return [last["critic_loss"], last["actor_loss"], last["alpha_loss"]]
 
-            assert_trains_or_names_a_key(rc, err, values, losses)
+            assert_trains_or_names_a_key(rc, err, values, losses, run_dir)
 
     @settings(max_examples=300, deadline=None)
     @given(DISTILL_CONFIGS)

@@ -81,9 +81,7 @@ class TestClone:
         s_critic = distill.clone_critic_into_student(critic, obs_dim=6, field_dim=4)
         cfg = distill.DistillConfig(field_dim=4, noise_std=0.1, batch=16)
         states = rng.standard_normal((64, 6))
-        res = distill.distill_step(
-            s_actor, s_critic, actor, critic, states[:16], rng, cfg, np.ones(NUM_TERMS), apply_updates=False
-        )
+        res = distill.distill_step(s_actor, s_critic, actor, critic, states[:16], rng, cfg, np.ones(NUM_TERMS))
         assert res.kl_loss == pytest.approx(0.0, abs=1e-15)
 
 
@@ -110,7 +108,7 @@ class TestDistillStep:
         assert distill.network_fingerprint(actor) == fp_a
         assert distill.network_fingerprint(critic.net) == fp_c
 
-    def test_zero_noise_std_gives_zero_field_input(self):
+    def test_zero_noise_std_gives_zero_field_input(self, monkeypatch):
         rng = np.random.default_rng(9)
         actor, critic = teacher_pair(rng)
         cfg = distill.DistillConfig(field_dim=5, noise_std=0.0, batch=4, student_hidden=8)
@@ -118,11 +116,22 @@ class TestDistillStep:
         s_critic = distill.clone_critic_into_student(critic, 6, 5)
         states = rng.standard_normal((4, 6))
         # with a field-insensitive clone and zero noise, the step reduces to
-        # matching teacher outputs exactly: KL 0 and zero actor gradient
-        res = distill.distill_step(s_actor, s_critic, actor, critic, states, rng, cfg, np.ones(NUM_TERMS), apply_updates=False)
+        # matching teacher outputs exactly: KL 0 and zero actor gradient,
+        # read as Adam receives it (the step zeroes it afterwards)
+        actor_gw = []
+        adam_step_net = nn.adam_step_net
+
+        def record_then_step(net, lr):
+            if net is s_actor:
+                actor_gw.extend(blk.gw.copy() for blk in net.param_blocks())
+            adam_step_net(net, lr)
+
+        monkeypatch.setattr(nn, "adam_step_net", record_then_step)
+        res = distill.distill_step(s_actor, s_critic, actor, critic, states, rng, cfg, np.ones(NUM_TERMS))
         assert res.kl_loss == pytest.approx(0.0, abs=1e-15)
-        for blk in s_actor.param_blocks():
-            assert np.allclose(blk.gw, 0.0, atol=1e-12)
+        assert len(actor_gw) == len(s_actor.param_blocks())
+        for gw in actor_gw:
+            assert np.allclose(gw, 0.0, atol=1e-12)
 
     def test_kl_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(10)

@@ -97,8 +97,13 @@ def reference_obs(p, v, prev_action, sink, v_max, ramp):
 
 
 def reference_from_env(e):
-    st_, f = e.state, e.field
-    return reference_obs(st_.p, st_.v, st_.prev_action, f.sink, f.v_max, f.ramp)
+    s, f = e.state, e.field
+    return reference_obs(s[0:2], s[2:4], s[4:6], f.sink, f.v_max, f.ramp)
+
+
+def obs(sr, mode):
+    """The one observation row of a step result's state."""
+    return observe(sr.state[None], mode)[0]
 
 
 def assert_rebuilt(states, teacher_rows, student_rows):
@@ -142,17 +147,17 @@ class TestObserve:
         sr = e.reset(seed, difficulty)
         cutters = {k: SegmentCutter(dim, 2, seed) for k, dim in (("state", STATE_DIM), ("teacher", 6), ("student", 248))}
         for key, c in cutters.items():
-            c.begin(sr.state if key == "state" else getattr(sr, f"obs_{key}"))
+            c.begin(sr.state if key == "state" else obs(sr, key))
         rng = np.random.default_rng(act_seed)
         segs = {k: [] for k in cutters}
         while not sr.done:
             ref = reference_from_env(e)
             assert_rebuilt(sr.state[None], ref[0][None], ref[1][None])
-            assert sr.obs_teacher.tobytes() == ref[0].tobytes() and sr.obs_student.tobytes() == ref[1].tobytes()
+            assert obs(sr, "teacher").tobytes() == ref[0].tobytes() and obs(sr, "student").tobytes() == ref[1].tobytes()
             action = rng.uniform(-1.2, 1.2, 2)
             sr = e.step(action)
             for key, c in cutters.items():
-                segs[key] += c.push(action, sr.reward, sr.done, sr.state if key == "state" else getattr(sr, f"obs_{key}"))
+                segs[key] += c.push(action, sr.reward, sr.done, sr.state if key == "state" else obs(sr, key))
         assert len(segs["state"]) == len(segs["student"]) >= 1
         for s_seg, t_seg, o_seg in zip(segs["state"], segs["teacher"], segs["student"]):
             assert_rebuilt(s_seg.obs, t_seg.obs, o_seg.obs)
@@ -160,16 +165,16 @@ class TestObserve:
     def test_difficulty3_respawn_mid_episode(self):
         e = PointMassEnv(horizon=5000)
         sr = e.reset(seed=4, difficulty=3)
-        states, teacher, student = [sr.state], [sr.obs_teacher], [sr.obs_student]
+        states, teacher, student = [sr.state], [obs(sr, "teacher")], [obs(sr, "student")]
         respawn_at = None
         while not e.done and (respawn_at is None or len(states) < respawn_at + 20):
-            v_tgt = field_at(e.field, e.state.p)
-            sr = e.step(np.clip(2.0 * (v_tgt - e.state.v) + 0.25 * v_tgt, -1, 1))
+            v_tgt = field_at(e.field, e.state[0:2])
+            sr = e.step(np.clip(2.0 * (v_tgt - e.state[2:4]) + 0.25 * v_tgt, -1, 1))
             states.append(sr.state)
-            teacher.append(sr.obs_teacher)
-            student.append(sr.obs_student)
+            teacher.append(obs(sr, "teacher"))
+            student.append(obs(sr, "student"))
             ref = reference_from_env(e)
-            assert sr.obs_student.tobytes() == ref[1].tobytes()
+            assert obs(sr, "student").tobytes() == ref[1].tobytes()
             if respawn_at is None and e._respawned:
                 respawn_at = len(states) - 1
         assert respawn_at is not None and not e.done
@@ -190,22 +195,22 @@ class TestReset:
         e1, e2 = PointMassEnv(), PointMassEnv()
         r1 = e1.reset(seed=42, difficulty=2)
         r2 = e2.reset(seed=42, difficulty=2)
-        assert np.array_equal(r1.obs_teacher, r2.obs_teacher)
-        assert np.array_equal(r1.obs_student, r2.obs_student)
-        assert np.array_equal(r1.info["sink"], r2.info["sink"])
+        assert np.array_equal(obs(r1, "teacher"), obs(r2, "teacher"))
+        assert np.array_equal(obs(r1, "student"), obs(r2, "student"))
+        assert np.array_equal(r1.state[6:8], r2.state[6:8])
 
     def test_difficulty0_places_sink_ahead(self):
         e = PointMassEnv()
         r = e.reset(seed=0, difficulty=0)
-        assert np.allclose(r.info["sink"], [5.0, 0.0])
+        assert np.allclose(r.state[6:8], [5.0, 0.0])
         assert e.field.v_max == pytest.approx(1.4)
 
     def test_observation_dimensions(self):
         e = PointMassEnv()
         r = e.reset(seed=1, difficulty=1)
-        assert r.obs_teacher.shape == (6,)
-        assert r.obs_student.shape == (248,)
-        assert np.array_equal(r.obs_student[:6], r.obs_teacher)
+        assert obs(r, "teacher").shape == (6,)
+        assert obs(r, "student").shape == (248,)
+        assert np.array_equal(obs(r, "student")[:6], obs(r, "teacher"))
 
     def test_unknown_difficulty_rejected(self):
         with pytest.raises(ConfigError):
@@ -216,9 +221,9 @@ class TestReset:
         for seed in range(8):
             e = PointMassEnv()
             r = e.reset(seed=seed, difficulty=2)
-            d = np.linalg.norm(r.info["sink"])
+            d = np.linalg.norm(r.state[6:8])
             assert 3.0 <= d <= 8.0
-            sinks.append(r.info["sink"])
+            sinks.append(r.state[6:8])
         angles = {round(float(np.arctan2(s[1], s[0])), 3) for s in sinks}
         assert len(angles) > 4
 
@@ -228,14 +233,27 @@ class TestStep:
         e = PointMassEnv()
         e.reset(seed=0, difficulty=0)
         r = e.step((1.0, 0.0))
-        assert np.allclose(r.info["v"], [0.2, 0.0])
-        assert np.allclose(r.info["p"], [0.02, 0.0])
+        assert np.allclose(r.state[2:4], [0.2, 0.0])
+        assert np.allclose(r.state[0:2], [0.02, 0.0])
+
+    def test_returned_state_is_the_callers_copy(self):
+        # scribbling over every returned row leaves the trajectory as it was
+        ref, e = PointMassEnv(), PointMassEnv()
+        ref.reset(seed=6, difficulty=3)
+        sr = e.reset(seed=6, difficulty=3)
+        rng = np.random.default_rng(2)
+        for _ in range(50):
+            assert not np.shares_memory(sr.state, e.state)
+            sr.state[:] = np.nan
+            a = rng.uniform(-1, 1, 2)
+            want, sr = ref.step(a), e.step(a)
+            assert sr.state.tobytes() == want.state.tobytes() and sr.reward.tobytes() == want.reward.tobytes()
 
     def test_zero_action_from_rest_stays_put(self):
         e = PointMassEnv()
         e.reset(seed=0, difficulty=0)
         r = e.step((0.0, 0.0))
-        assert np.allclose(r.info["p"], [0.0, 0.0])
+        assert np.allclose(r.state[0:2], [0.0, 0.0])
         assert r.reward[R_PVB] == 0.0
 
     def test_drag_decays_speed_monotonically(self):
@@ -246,7 +264,7 @@ class TestStep:
         speeds = []
         for _ in range(50):
             r = e.step((0.0, 0.0))
-            speeds.append(r.info["speed"])
+            speeds.append(np.linalg.norm(r.state[2:4]))
         assert all(b < a for a, b in zip(speeds, speeds[1:]))
 
     def test_reward_wiring_matches_pure_functions(self):
@@ -256,7 +274,7 @@ class TestStep:
         e.reset(seed=3, difficulty=2)
         a = np.array([0.4, -0.2])
         r = e.step(a)
-        v, vt = r.info["v"], r.info["v_tgt"]
+        v, vt = r.state[2:4], field_at(e.field, r.state[0:2])
         assert r.reward.shape == (NUM_TERMS,) and r.reward.dtype == np.float64
         assert r.reward[R_CLP] == 0.0
         assert r.reward[R_VDP] == pytest.approx(rw.velocity_deviation_penalty(v, vt))
@@ -276,8 +294,8 @@ class TestStep:
         e = PointMassEnv()
         e.reset(seed=0, difficulty=0)
         # teleport: place the agent exactly on the sink
-        e.state.p = e.field.sink.copy()
-        e.state.v = np.zeros(2)
+        e.state[0:2] = e.field.sink
+        e.state[2:4] = 0.0
         r = e.step((0.0, 0.0))
         assert r.reward[R_TAB] == pytest.approx(1.0)
 
@@ -300,14 +318,14 @@ class TestStep:
             e.step((1.0, 0.0))
             steps += 1
             assert steps < 200
-        assert np.linalg.norm(e.state.p) > 0.5
+        assert np.linalg.norm(e.state[0:2]) > 0.5
 
     def test_out_of_range_action_clamped_and_counted(self):
         e = PointMassEnv()
         e.reset(seed=0, difficulty=0)
         r = e.step((5.0, 0.0))
-        assert r.info["clamp_count"] == 1
-        assert np.allclose(r.info["v"], [0.2, 0.0])  # behaves like action 1.0
+        assert e.clamp_count == 1
+        assert np.allclose(r.state[2:4], [0.2, 0.0])  # behaves like action 1.0
 
     def test_determinism_full_trajectory(self):
         def run():
@@ -319,7 +337,7 @@ class TestStep:
                 if e.done:
                     break
                 r = e.step(rng.uniform(-1, 1, 2))
-                out.append(np.concatenate([r.obs_student, r.reward, [float(r.done)]]))
+                out.append(np.concatenate([obs(r, "student"), r.reward, [float(r.done)]]))
             return np.stack(out)
 
         assert np.array_equal(run(), run())
@@ -343,8 +361,8 @@ class TestStep:
         for _ in range(4000):
             if e.done:
                 break
-            v_tgt = field_at(e.field, e.state.p)
-            a = np.clip(2.0 * (v_tgt - e.state.v) + 0.25 * v_tgt, -1, 1)
+            v_tgt = field_at(e.field, e.state[0:2])
+            a = np.clip(2.0 * (v_tgt - e.state[2:4]) + 0.25 * v_tgt, -1, 1)
             e.step(a)
             if not np.array_equal(e.field.sink, first_sink):
                 moved = True
@@ -372,7 +390,7 @@ class TestStep:
         while not e.done:
             r = e.step(rng.uniform(-1.0, 1.0, 2))
             # t, then position, velocity and the applied action (state[:6]), the terms, done
-            expected.append([r.info["t"], *r.state[:6], *r.reward, float(r.done)])
+            expected.append([e.t, *r.state[:6], *r.reward, float(r.done)])
         rows = (tmp_path / "episode_5.csv").read_text().splitlines()
         assert rows[0] == "t,px,py,vx,vy,ax,ay,r0,r1,r2,r3,r4,r5,r6,done"
         assert [[float(cell) for cell in row.split(",")] for row in rows[1:]] == expected

@@ -100,8 +100,8 @@ class TestSampler:
         for _ in range(60):
             for s in samplers:
                 s.tick()
-        p0 = samplers[0].env.state.p
-        p1 = samplers[1].env.state.p
+        p0 = samplers[0].env.state[0:2]
+        p1 = samplers[1].env.state[0:2]
         assert not np.allclose(p0, p1)
 
     def test_entropy_coordinate_injected(self):
@@ -172,7 +172,7 @@ class TestSampler:
         for _ in range(3):
             s.tick()
         ep_before = s.episode_index
-        s.env.state.p = np.array([np.nan, np.nan])  # poison the environment
+        s.env.state[0:2] = np.nan  # poison the environment
         s.tick()  # hits the fault path
         assert s.env_faults == 1
         s.tick()  # restarts cleanly
@@ -193,6 +193,19 @@ class TestLearnerThrottle:
                 assert learner.steps <= cap + 1
         assert learner.steps > 0
         assert learner.max_throttle_excess <= 1.0
+
+    @pytest.mark.parametrize("replay_ratio", [0.5, 4.0, 16.0])
+    def test_one_loop_keeps_throttle_excess_and_stale_updates_at_zero(self, tmp_path, replay_ratio):
+        # the stage loop steps the learner only while steps < int(replay_ratio
+        # * appended / num_samplers), and nothing appends between a batch's
+        # sample and its priority update, so both health counters read 0
+        # even while the store evicts
+        cfg = tiny_cfg(replay_ratio=replay_ratio, capacity=60, total_env_steps=600, eval_episodes=1)
+        res = pipeline.train_stage(cfg, str(tmp_path / "run"))
+        store = res.learner.store
+        assert store.evicted_total > 0 and res.learner_steps > 0
+        assert res.learner.max_throttle_excess == 0.0
+        assert store.stale_updates == 0
 
     def test_zero_segments_means_zero_learner_steps(self):
         cfg = tiny_cfg()
