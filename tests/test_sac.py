@@ -340,6 +340,15 @@ class TestActorLoss:
             assert np.argmax(qmin @ (scale * w)) == np.argmax(qmin @ w)
 
     def test_gradients_match_finite_differences(self):
+        self._check_gradients_against_finite_differences()
+
+    def test_gradients_over_blocks_match_finite_differences(self, monkeypatch):
+        # 3-row blocks split the 4 rows into a full and a ragged block
+        monkeypatch.setattr(sac, "_ACTOR_BLOCK_ROWS", 3)
+        self._check_gradients_against_finite_differences()
+
+    @staticmethod
+    def _check_gradients_against_finite_differences():
         rng = np.random.default_rng(12)
         worst = 0.0
         trials = 0
@@ -498,11 +507,60 @@ class TestStaggeredLanes:
         assert not g2.any() and not ga.any()
 
 
+class TestActorBlocks:
+    """``actor_loss`` runs its critic pair over row blocks.  A ragged split
+    changes no bit of the loss or the log-probs, leaves the critics'
+    gradients zero and moves the actor's by rounding only; a fault in a
+    block touches no gradient and leaves no thread behind."""
+
+    @staticmethod
+    def _setup(seed):
+        rng = np.random.default_rng(seed)
+        ens, actor = tiny_ensemble(rng, 3, 2), tiny_actor(rng, 3, 2)
+        return ens, actor, rng.standard_normal((10, 3)), hyper(weights=rng.standard_normal(NUM_TERMS))
+
+    @pytest.mark.parametrize("gate", [0, 1 << 62])
+    def test_blocks_give_the_same_loss_and_log_probs(self, gate, monkeypatch):
+        monkeypatch.setattr(nn, "_BOTH_MIN_WORK", gate)
+        runs = []
+        # blocks of 6 and 4 rows, then one block; at gate 0 every half has
+        # at least 2 rows, since numpy runs a 1-row product as a
+        # matrix-vector product, whose bits differ from a GEMM's
+        for block_rows in (6, 16):
+            monkeypatch.setattr(sac, "_ACTOR_BLOCK_ROWS", block_rows)
+            ens, actor, obs, hy = self._setup(80)
+            loss, logp = sac.actor_loss(obs, ens, actor, 0.2, hy, rng=np.random.default_rng(3))
+            assert not ens.q1.net.arena.grads.any() and not ens.q2.net.arena.grads.any()
+            runs.append((loss, logp, actor.arena.grads))
+        (loss6, logp6, g6), (loss16, logp16, g16) = runs
+        assert loss6 == loss16 and logp6.tobytes() == logp16.tobytes()
+        assert g16.any()
+        np.testing.assert_allclose(g6, g16, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("gate", [0, 1 << 62])
+    def test_fault_in_q2_leaves_every_gradient_untouched(self, gate, monkeypatch):
+        monkeypatch.setattr(nn, "_BOTH_MIN_WORK", gate)
+        monkeypatch.setattr(sac, "_ACTOR_BLOCK_ROWS", 4)
+        ens, actor, obs, hy = self._setup(81)
+        nets = (ens.q1.net, ens.q2.net, actor)
+        for net in nets:
+            net.arena.grads[:] = np.random.default_rng(5).standard_normal(net.arena.grads.size)
+        before = [net.arena.grads.copy() for net in nets]
+        ens.q2.net.blocks[-1].b[0] = np.inf
+        threads = threading.active_count()
+        with pytest.raises(NumericFault, match="non-finite output"):
+            sac.actor_loss(obs, ens, actor, 0.2, hy, rng=np.random.default_rng(3))
+        assert threading.active_count() == threads
+        for net, b in zip(nets, before):
+            assert net.arena.grads.tobytes() == b.tobytes()
+
+
 class TestLossPeaks:
     """At a mid-size shape (640 rows, hidden 256, 248 observation columns)
-    the losses hold both critic tapes, the actor tape and the pass
-    temporaries, and little else: no dead copies of the batch and no
-    spent tape records."""
+    ``critic_loss`` holds one online critic's tape at a time and
+    ``actor_loss`` the actor tape and one row block's two critic tapes,
+    each beside its pass temporaries, and little else: no dead copies of
+    the batch and no spent tape records."""
 
     B, L, N, OBS, HIDDEN = 64, 10, 5, 248, 256
 
@@ -523,7 +581,7 @@ class TestLossPeaks:
 
     def test_critic_loss_peak(self):
         # 25.5 buffers before tapes were single-use and the batch copies died early, 16.9 after;
-        # 14.7-16.4 with the actor's taped forward over the valid rows in the result
+        # 14.7-16.4 once the twin critics' passes ran one after the other
         rng, actor, ens = self._nets()
         batch = tiny_batch(rng, B=self.B, L=self.L, n=self.N, obs_dim=self.OBS)
         assert self._peak(lambda: sac.critic_loss(batch, ens, actor, hyper(n_step=self.N), rng=rng)) < 21
@@ -533,6 +591,20 @@ class TestLossPeaks:
         rng, actor, ens = self._nets()
         obs_rows = rng.standard_normal((self.B * self.L, self.OBS))
         assert self._peak(lambda: sac.actor_loss(obs_rows, ens, actor, 0.2, hyper(), rng=rng)) < 21
+
+    def test_blocked_actor_loss_peak(self, monkeypatch):
+        # 1920 rows: three blocks hold one block's critic tapes beside the
+        # actor tape at a time.  9.5-9.7 buffers of 1920 rows against
+        # 15.9-16.8 as one block.  critic_loss reads 9.0-9.9 at this shape,
+        # so the two losses' peaks are not ordered here; which is higher
+        # follows the lanes' timing
+        rows = 3 * sac._ACTOR_BLOCK_ROWS
+        rng, actor, ens = self._nets()
+        obs_rows = rng.standard_normal((rows, self.OBS))
+        blocked = self._peak(lambda: sac.actor_loss(obs_rows, ens, actor, 0.2, hyper(), rng=rng))
+        monkeypatch.setattr(sac, "_ACTOR_BLOCK_ROWS", rows)
+        whole = self._peak(lambda: sac.actor_loss(obs_rows, ens, actor, 0.2, hyper(), rng=rng))
+        assert blocked < 0.7 * whole, (blocked, whole)
 
 
 class TestTemperature:
