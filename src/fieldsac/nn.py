@@ -25,16 +25,21 @@ fresh-buffer form.
 
 Batches are 2-D float64 arrays, one row per sample, features along
 columns.  One network instance must only be mutated from a single thread;
-share read-only copies (``Network.copy``) across threads instead.
+share read-only copies (``Network.params_copy``) across threads instead.
 
-Parameter arena: a network keeps all of its state in one ``Arena``, four
-flat float64 vectors (parameters, gradients, Adam ``m`` and Adam ``v``)
-plus one Adam step count.  The vectors are laid out block by block,
-``w`` (row-major) then ``b``, which is also the order of the parameter
-part of a ``fieldsac-net-v1`` blob; the file format is unchanged and
-still stores the step count once per block.  Every ``ParamBlock`` field
-(``w``, ``b``, ``gw``, ``gb``, ``mw``, ``vw``, ``mb``, ``vb``) is a
-reshaped view into the arena, so Adam, soft updates, gradient zeroing,
+Parameter arena: a network keeps all of its state in one ``Arena``.  A
+network that Adam steps holds four flat float64 vectors (parameters,
+gradients, Adam ``m`` and Adam ``v``) plus one Adam step count.  A
+params-only network (``Network.params_copy``: the soft-updated target
+critics and the published policy snapshots) holds the parameter vector
+alone and refuses to accumulate gradients, zero them or take an Adam
+step.  The vectors are laid out block by block, ``w`` (row-major) then
+``b``, which is also the order of the parameter part of a
+``fieldsac-net-v1`` blob; the blob carries the optimizer part exactly
+when the network has one, and still stores the step count once per
+block.  Every ``ParamBlock`` field (``w``, ``b``, ``gw``, ``gb``, ``mw``,
+``vw``, ``mb``, ``vb``) is a reshaped view into the arena, None where the
+arena holds no such vector, so Adam, soft updates, gradient zeroing,
 copies and fingerprints each act on whole vectors.
 
 Two lanes: numpy releases the GIL inside BLAS and ufunc loops, so on two
@@ -110,22 +115,37 @@ _VECTORS = ("params", "grads", "m", "v")
 
 class Arena:
     """Flat float64 storage for parameter blocks: parameters, gradients,
-    Adam first and second moments, and the Adam step count they share."""
+    Adam first and second moments, and the Adam step count they share.
+    A params-only arena has ``grads``, ``m`` and ``v`` None."""
 
     __slots__ = (*_VECTORS, "step_count")
 
-    def __init__(self, size: int):
+    def __init__(self, size: int, params_only: bool = False):
         self.params = np.zeros(size)
-        self.grads = np.zeros(size)
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+        self.grads, self.m, self.v = (None,) * 3 if params_only else (np.zeros(size) for _ in range(3))
         self.step_count = 0
+
+    @property
+    def params_only(self) -> bool:
+        return self.grads is None
+
+    @property
+    def vectors(self) -> tuple[str, ...]:
+        """Names of the vectors this arena holds."""
+        return _VECTORS[:1] if self.params_only else _VECTORS
 
     def copy(self) -> "Arena":
         out = Arena.__new__(Arena)
-        out.params, out.grads, out.m, out.v = self.params.copy(), self.grads.copy(), self.m.copy(), self.v.copy()
+        for name in _VECTORS:
+            vec = getattr(self, name)
+            setattr(out, name, None if vec is None else vec.copy())
         out.step_count = self.step_count
         return out
+
+
+def _require_optimizer(arena: Arena, action: str) -> None:
+    if arena.params_only:
+        raise ContractViolation(f"a params-only network cannot {action}")
 
 
 class ParamBlock:
@@ -133,9 +153,9 @@ class ParamBlock:
 
     ``w`` is 2-D: ``(in_dim, out_dim)`` for linear layers, ``(1, dim)``
     (the gain) for layer norm.  ``b`` is the bias/shift vector.  All
-    eight fields are views into ``arena`` over ``[start, stop)``: a block
-    built on its own owns a private arena, a network's blocks share the
-    network's.
+    eight fields are views into ``arena`` over ``[start, stop)``, or None
+    where a params-only arena has no such vector: a block built on its
+    own owns a private arena, a network's blocks share the network's.
     """
 
     __slots__ = ("arena", "start", "stop", "w", "b", "gw", "gb", "mw", "vw", "mb", "vb")
@@ -159,10 +179,10 @@ class ParamBlock:
         mid = start + w_shape[0] * w_shape[1]
         stop = mid + b_size
         self.arena, self.start, self.stop = arena, start, stop
-        self.w, self.b = arena.params[start:mid].reshape(w_shape), arena.params[mid:stop]
-        self.gw, self.gb = arena.grads[start:mid].reshape(w_shape), arena.grads[mid:stop]
-        self.mw, self.mb = arena.m[start:mid].reshape(w_shape), arena.m[mid:stop]
-        self.vw, self.vb = arena.v[start:mid].reshape(w_shape), arena.v[mid:stop]
+        (self.w, self.b), (self.gw, self.gb), (self.mw, self.mb), (self.vw, self.vb) = (
+            (None, None) if vec is None else (vec[start:mid].reshape(w_shape), vec[mid:stop])
+            for vec in (arena.params, arena.grads, arena.m, arena.v)
+        )
 
     @property
     def step_count(self) -> int:
@@ -172,6 +192,7 @@ class ParamBlock:
         return self.stop - self.start
 
     def zero_grads(self) -> None:
+        _require_optimizer(self.arena, "zero gradients")
         self.arena.grads[self.start : self.stop] = 0.0
 
 
@@ -184,14 +205,14 @@ def _param_shapes(spec: LayerSpec) -> tuple[tuple[int, int], int] | None:
     return None
 
 
-def arena_blocks(specs: list[LayerSpec], arena: Arena | None = None) -> list[ParamBlock | None]:
+def arena_blocks(specs: list[LayerSpec], arena: Arena | None = None, params_only: bool = False) -> list[ParamBlock | None]:
     """Parameter blocks for ``specs`` as views into ``arena``, laid out
-    block by block (``w`` then ``b``); a zeroed arena of the right size
-    is allocated when none is given."""
+    block by block (``w`` then ``b``); a zeroed arena of the right size,
+    params-only if asked, is allocated when none is given."""
     shapes = [_param_shapes(s) for s in specs]
     size = sum(ws[0] * ws[1] + bs for ws, bs in filter(None, shapes))
     if arena is None:
-        arena = Arena(size)
+        arena = Arena(size, params_only)
     elif arena.params.size != size:
         raise ConfigError(f"arena holds {arena.params.size} parameters, the layers need {size}")
     blocks: list[ParamBlock | None] = []
@@ -213,9 +234,10 @@ class Network:
     increments on every parameter mutation and is used to detect stale
     tapes.  The network adopts the blocks it is given: blocks that
     already tile one arena in layer order keep it (no copy); otherwise
-    their state is copied into a fresh arena, a block that was on its
-    own is re-bound to it, and a block that was part of another arena is
-    replaced by a view so that arena stays intact.
+    their state (the vectors their arenas hold, which must agree) is
+    copied into a fresh arena, a block that was on its own is re-bound to
+    it, and a block that was part of another arena is replaced by a view
+    so that arena stays intact.
     """
 
     def __init__(self, specs: list[LayerSpec], blocks: list[ParamBlock | None]):
@@ -241,14 +263,17 @@ class Network:
         steps = {b.arena.step_count for b in pbs}
         if len(steps) > 1:
             raise ConfigError(f"parameter blocks disagree on the Adam step count: {sorted(steps)}")
-        arena = Arena(offsets[-1])
+        kinds = {b.arena.params_only for b in pbs}
+        if len(kinds) > 1:
+            raise ConfigError("parameter blocks mix params-only and optimizer arenas")
+        arena = Arena(offsets[-1], kinds.pop() if kinds else False)
         arena.step_count = steps.pop() if steps else 0
         k = 0
         for i, blk in enumerate(self.blocks):
             if blk is None:
                 continue
             src, dst = slice(blk.start, blk.stop), slice(offsets[k], offsets[k + 1])
-            for name in _VECTORS:
+            for name in arena.vectors:
                 getattr(arena, name)[dst] = getattr(blk.arena, name)[src]
             if blk.n_params() == blk.arena.params.size:
                 blk._bind(arena, dst.start, blk.w.shape, blk.b.size)
@@ -272,15 +297,26 @@ class Network:
         return self.arena.params.size
 
     def zero_grads(self) -> None:
+        _require_optimizer(self.arena, "zero gradients")
         self.arena.grads[:] = 0.0
 
     def bump_version(self) -> None:
         self.version += 1
 
     def copy(self) -> "Network":
+        """Copy of every vector the network holds."""
         net = Network(self.specs, arena_blocks(self.specs, self.arena.copy()))
         net.version = self.version
         return net
+
+    def params_copy(self, read_only: bool = False) -> "Network":
+        """Params-only copy, for a network no optimizer steps.  With
+        ``read_only`` the vector is locked before the block views are made,
+        so they reject writes too."""
+        arena = Arena(self.n_params(), params_only=True)
+        arena.params[:] = self.arena.params
+        arena.params.flags.writeable = not read_only
+        return Network(self.specs, arena_blocks(self.specs, arena))
 
 
 def _validate_stack(specs: list[LayerSpec], blocks: list[ParamBlock | None]) -> None:
@@ -490,6 +526,8 @@ def backward(
         raise ContractViolation("tape already consumed: a tape serves one backward pass")
     if accumulate and not tape.keeps_inputs:
         raise ContractViolation("an input_grad tape keeps no layer inputs, so it cannot accumulate parameter gradients")
+    if accumulate:
+        _require_optimizer(net.arena, "accumulate parameter gradients")
     g = np.asarray(output_grad, dtype=np.float64)
     if g.shape != (tape.batch, net.out_dim):
         raise ConfigError(f"output_grad shape {g.shape} does not match ({tape.batch}, {net.out_dim})")
@@ -586,8 +624,9 @@ def adam_step(arena: Arena, lr: float) -> None:
     one-element arena of log(alpha)): every parameter, one step count.
     Zeroes the gradients.  Raises NumericFault, with the arena as it was, when
     ``(1 - beta2) * g * g``, the bias-corrected ``v / c2`` or a new
-    parameter is not finite.
+    parameter is not finite, and ContractViolation on a params-only arena.
     """
+    _require_optimizer(arena, "take an Adam step")
     t = arena.step_count + 1
     c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
     # Each |x_i| <= sqrt(x @ x), v >= 0 keeps the square root real and the
@@ -795,35 +834,36 @@ def grad_check(net: Network, x: np.ndarray, tolerance: float = 1e-6, step: float
 _MANIFEST_FORMAT = "fieldsac-net-v1"
 
 
-def save_network(net: Network, prefix: str, with_optimizer: bool = False) -> tuple[str, str]:
+def save_network(net: Network, prefix: str) -> tuple[str, str]:
     """Write ``<prefix>.manifest`` and ``<prefix>.bin``; returns both paths.
 
     The blob is every parameter block in declaration order (weights
-    row-major, then bias), optionally followed by the Adam state.  The
-    round trip is bit-exact.
+    row-major, then bias), followed by the Adam state exactly when the
+    network has one.  The round trip is bit-exact and gives back the same
+    kind of network.
     """
     pairs = {
         "format": _MANIFEST_FORMAT,
         "dtype": "float64-le",
         "num_layers": len(net.specs),
-        "with_optimizer": int(with_optimizer),
+        "with_optimizer": int(not net.arena.params_only),
     }
     for i, spec in enumerate(net.specs):
         pairs[f"layer.{i}"] = f"{spec.kind} {spec.in_dim} {spec.out_dim}"
     man_path, bin_path = prefix + ".manifest", prefix + ".bin"
     artifacts.write_manifest(man_path, pairs)
     steps = np.full(len(net.param_blocks()), float(net.arena.step_count))
-    artifacts.write_blob(bin_path, _blob_parts(net, with_optimizer, steps))
+    artifacts.write_blob(bin_path, _blob_parts(net, steps))
     return man_path, bin_path
 
 
-def _blob_parts(net: Network, with_optimizer: bool, steps: np.ndarray) -> list[np.ndarray]:
+def _blob_parts(net: Network, steps: np.ndarray) -> list[np.ndarray]:
     """The blob in file order as views, so it is written and read in place:
     the arena's parameter vector (already every block's ``w`` then ``b``),
-    then with the optimizer, per block, ``mw``, ``vw``, ``mb``, ``vb`` and
-    its step count (an entry of ``steps``)."""
+    then, unless the network is params-only, per block, ``mw``, ``vw``,
+    ``mb``, ``vb`` and its step count (an entry of ``steps``)."""
     parts = [net.arena.params]
-    if with_optimizer:
+    if not net.arena.params_only:
         for k, blk in enumerate(net.param_blocks()):
             parts += [blk.mw.reshape(-1), blk.vw.reshape(-1), blk.mb, blk.vb, steps[k : k + 1]]
     return parts
@@ -838,10 +878,10 @@ def load_network(prefix: str) -> Network:
     man = artifacts.Manifest(prefix + ".manifest", "network")
     man.get("format", artifacts.one_of(_MANIFEST_FORMAT))
     specs = [man.get(f"layer.{i}", _layer_spec) for i in range(man.get("num_layers", int))]
-    net = Network(specs, arena_blocks(specs))
+    net = Network(specs, arena_blocks(specs, params_only=not man.get("with_optimizer", int)))
     steps = np.zeros(len(net.param_blocks()))
     bin_path = prefix + ".bin"
-    artifacts.read_blob(bin_path, _blob_parts(net, bool(man.get("with_optimizer", int)), steps))
+    artifacts.read_blob(bin_path, _blob_parts(net, steps))
     counts = set(steps.tolist())  # all zero without the optimizer part
     if len(counts) > 1:
         raise ConfigError(f"blocks in {bin_path} disagree on the Adam step count: {sorted(counts)}")

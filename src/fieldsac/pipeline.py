@@ -5,12 +5,12 @@ prioritized segments to the store; a single learner samples batches,
 applies the actor/critic/temperature updates, repriorizes, and
 periodically publishes an immutable policy snapshot that the samplers
 pick up.  Samplers cut segments from the env's 10-real state rows, so
-``Segment.obs`` and ``SampleBatch.obs`` hold state rows; the learner
-rebuilds each batch's observations with ``env.observe`` right after
-sampling, and distillation rebuilds the teacher observations of the
-stored rows the same way.  One loop interleaves samplers and learner:
-every sampler takes one step, then the learner steps while it is under
-the throttle
+``Segment.obs`` and ``SampleBatch.obs`` hold state rows; ``critic_loss``
+rebuilds each batch's observations with ``env.observe`` and drops them
+once its network inputs are built, and distillation rebuilds the
+teacher observations of the stored rows the same way.  One loop
+interleaves samplers and learner: every sampler takes one step, then the
+learner steps while it is under the throttle
     learner_steps <= replay_ratio * segments_appended / num_samplers.
 
 Seeds: sampler i rolls episode k with seed
@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -47,20 +48,10 @@ def obs_dim_for_stage(stage: str) -> int:
 # Policy snapshots
 
 
-def _freeze(net: nn.Network) -> nn.Network:
-    """Read-only copy of ``net``'s parameters (no optimizer state).  The
-    block views are made after the vector is locked, so they reject writes
-    too."""
-    arena = nn.Arena(net.n_params())
-    arena.params[:] = net.arena.params
-    arena.params.flags.writeable = False
-    return nn.Network(net.specs, nn.arena_blocks(net.specs, arena))
-
-
 @dataclass(frozen=True)
 class PolicySnapshot:
     version: int
-    actor: nn.Network  # read-only copy
+    actor: nn.Network  # read-only, params-only copy
     alpha: float
 
 
@@ -72,7 +63,7 @@ class PolicySnapshotHub:
 
     def publish(self, actor: nn.Network, alpha: float) -> int:
         version = self.version + 1
-        self._snap = PolicySnapshot(version, _freeze(actor), float(alpha))
+        self._snap = PolicySnapshot(version, actor.params_copy(read_only=True), float(alpha))
         return version
 
     def current(self) -> PolicySnapshot:
@@ -204,19 +195,14 @@ class Learner:
         t = self.steps
         exp = self.anneal.value(t)
         self.store.set_exponents(exp, exp)
-        batch = self.store.sample(self.cfg.batch, self.rng)
-        B, T, _ = batch.obs.shape
-        batch.obs = observe(batch.obs.reshape(B * T, STATE_DIM), self.cfg.obs_mode).reshape(B, T, -1)
-
-        res = sac.critic_loss(batch, self.ensemble, self.actor, self.hyper, rng=self.rng, eta=self.cfg.eta)
+        batch = self.store.sample(self.cfg.batch, self.rng)  # env state rows; critic_loss observes them
+        res = sac.critic_loss(
+            batch, self.ensemble, self.actor, self.hyper, rng=self.rng, eta=self.cfg.eta, observe=partial(observe, mode=self.cfg.obs_mode)
+        )
         nn.adam_step_net(self.ensemble.q1.net, self.cfg.lr_critic)
         nn.adam_step_net(self.ensemble.q2.net, self.cfg.lr_critic)
 
-        L = batch.actions.shape[1]
-        obs_rows = batch.obs[:, :L][np.arange(L)[None, :] < batch.lengths[:, None]]
-        ids = batch.ids
-        del batch  # the gathered records are dead once the valid rows are copied out
-        aloss, log_probs = sac.actor_loss(obs_rows, self.ensemble, self.actor, self.alpha, self.hyper, rng=self.rng)
+        aloss, log_probs = sac.actor_loss(res.obs_rows, self.ensemble, self.actor, self.alpha, self.hyper, rng=self.rng)
         nn.adam_step_net(self.actor, self.cfg.lr_actor)
 
         tloss, tgrad = sac.temperature_loss(log_probs, self.log_alpha.params[0], self.cfg.target_entropy)
@@ -224,7 +210,7 @@ class Learner:
         nn.adam_step(self.log_alpha, self.cfg.lr_alpha)
 
         self.ensemble.soft_update(self.cfg.tau)
-        self.store.update_priorities(ids, res.segment_priorities)
+        self.store.update_priorities(batch.ids, res.segment_priorities)
 
         self.steps += 1
         self.last_critic_loss = res.loss
@@ -278,7 +264,7 @@ def save_checkpoint(
     }
     with artifacts.replacing_dir(directory) as tmp:
         for name, net in nets.items():
-            nn.save_network(net, os.path.join(tmp, name), with_optimizer=True)
+            nn.save_network(net, os.path.join(tmp, name))
         artifacts.write_manifest(os.path.join(tmp, "meta.txt"), meta)
         with open(os.path.join(tmp, "config.txt"), "w") as f:
             f.write(config_to_text(cfg))
@@ -293,12 +279,9 @@ def load_checkpoint(directory: str) -> CheckpointBundle:
     log_alpha.step_count = meta.get("alpha_t", int)
     meta.get("format", artifacts.one_of(_CKPT_FORMAT))
     nets = {name: nn.load_network(os.path.join(directory, name)) for name in _CKPT_NETS}
-    ensemble = CriticEnsemble(
-        VectorCritic(nets["q1"]),
-        VectorCritic(nets["q2"]),
-        VectorCritic(nets["q1_target"]),
-        VectorCritic(nets["q2_target"]),
-    )
+    # older checkpoints saved the targets with Adam state, which they drop here
+    targets = [nets[k] if nets[k].arena.params_only else nets[k].params_copy() for k in ("q1_target", "q2_target")]
+    ensemble = CriticEnsemble(VectorCritic(nets["q1"]), VectorCritic(nets["q2"]), *map(VectorCritic, targets))
     return CheckpointBundle(
         actor=nets["actor"],
         ensemble=ensemble,
@@ -671,7 +654,7 @@ def run_distill_stage(teacher_ckpt_dir: str, replay_dir: str, out_dir: str, dcfg
 
     report = distill.verify_distillation(student_actor, bundle.actor, holdout, dcfg.field_dim)
     teacher_unchanged = [distill.network_fingerprint(net) for net in teacher_nets] == fp_before
-    ensemble = CriticEnsemble(student_q1, student_q2, student_q1.copy(), student_q2.copy())
+    ensemble = CriticEnsemble.of(student_q1, student_q2)
     cfg = TrainConfig(stage="finetune")
     ckpt_dir = save_checkpoint(os.path.join(out_dir, "checkpoint"), student_actor, ensemble, sac.log_alpha_arena(np.log(cfg.init_alpha)), cfg)
     artifacts.write_manifest(

@@ -31,6 +31,7 @@ actor's backward over all rows.  The random draws keep their order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -145,25 +146,28 @@ def remove_reward_term(critic: VectorCritic, index: int) -> VectorCritic:
 
 
 def _rebuild_head(critic: VectorCritic, n_terms: int, fill) -> VectorCritic:
-    """Fresh critic with ``n_terms`` heads.  Every layer below the head keeps
-    its parameters and optimizer state; ``fill(old, new)`` copies each head
-    field (parameters, gradients, Adam moments) into the new head."""
+    """Fresh critic with ``n_terms`` heads and the vectors ``critic`` holds.
+    Every layer below the head keeps its parameters and any optimizer
+    state; ``fill(old, new)`` copies each head field the critic has
+    (parameters, gradients, Adam moments) into the new head."""
     net = critic.net
     spec = net.specs[-1]
     specs = [*net.specs[:-1], nn.LayerSpec("linear", spec.in_dim, n_terms)]
-    out = nn.Network(specs, nn.arena_blocks(specs))
+    out = nn.Network(specs, nn.arena_blocks(specs, params_only=net.arena.params_only))
     old_head, new_head = net.blocks[-1], out.blocks[-1]
-    for name in ("params", "grads", "m", "v"):
+    for name in net.arena.vectors:
         getattr(out.arena, name)[: old_head.start] = getattr(net.arena, name)[: old_head.start]
     out.arena.step_count = net.arena.step_count
     for name in ("w", "b", "gw", "gb", "mw", "mb", "vw", "vb"):
-        fill(getattr(old_head, name), getattr(new_head, name))
+        if getattr(old_head, name) is not None:
+            fill(getattr(old_head, name), getattr(new_head, name))
     return VectorCritic(out)
 
 
 @dataclass
 class CriticEnsemble:
-    """Twin online critics plus their soft-updated targets."""
+    """Twin online critics plus their soft-updated targets, which no
+    optimizer steps and so hold parameters only."""
 
     q1: VectorCritic
     q2: VectorCritic
@@ -171,10 +175,15 @@ class CriticEnsemble:
     q2_target: VectorCritic
 
     @classmethod
+    def of(cls, q1: VectorCritic, q2: VectorCritic) -> "CriticEnsemble":
+        """``q1`` and ``q2`` with params-only copies of them as targets."""
+        return cls(q1, q2, VectorCritic(q1.net.params_copy()), VectorCritic(q2.net.params_copy()))
+
+    @classmethod
     def build(cls, obs_dim: int, act_dim: int, hidden: int, rng: np.random.Generator, n_terms: int = NUM_TERMS) -> "CriticEnsemble":
         q1 = VectorCritic.build(obs_dim, act_dim, hidden, rng, n_terms)
         q2 = VectorCritic.build(obs_dim, act_dim, hidden, rng, n_terms)
-        return cls(q1, q2, q1.copy(), q2.copy())
+        return cls.of(q1, q2)
 
     def soft_update(self, tau: float) -> None:
         nn.soft_update_net(self.q1_target.net, self.q1.net, tau)
@@ -224,6 +233,7 @@ class CriticLossResult:
     td_magnitudes: np.ndarray  # (B, L), zero at padded positions
     segment_priorities: np.ndarray  # (B,)
     targets: np.ndarray = field(repr=False, default=None)  # (B, L, n_terms)
+    obs_rows: np.ndarray = field(repr=False, default=None)  # (valid positions, obs_dim): the actor's rows
 
 
 def critic_loss(
@@ -234,14 +244,20 @@ def critic_loss(
     rng: np.random.Generator | None = None,
     boot_noise: np.ndarray | None = None,
     eta: float = 0.9,
+    observe: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> CriticLossResult:
     """Half squared error per twin critic and reward coordinate.
 
     Per-sample terms are scaled by the batch importance weights and
     averaged over valid (non-padded) positions.  Also returns the
-    |weighted-sum| TD magnitude per step and the mixed segment
-    priorities for repriorization.  Gradients accumulate into the online
+    |weighted-sum| TD magnitude per step, the mixed segment priorities
+    for repriorization and the valid positions' observations in batch
+    order (the actor's rows).  Gradients accumulate into the online
     critics only.
+
+    With ``observe`` the batch holds env rows and ``observe`` maps their
+    ``(B * T, d)`` stack to observation rows; that array dies once the
+    online inputs and bootstrap rows are built, before any critic pass.
 
     Faults: a ``NumericFault`` from non-finite targets, importance
     weights, q1's forward or q1's terms of the loss is raised before any
@@ -250,12 +266,18 @@ def critic_loss(
     gradients; q2's stay untouched.
     """
     B, L, act_dim = batch.actions.shape
-    obs_dim = batch.obs.shape[2]
+    T = batch.obs.shape[1]
     n = hyper.n_step
-    if batch.obs.shape[1] != L + n:
-        raise ContractViolation(f"batch tail ({batch.obs.shape[1] - L}) does not match n_step {n}")
+    if T != L + n:
+        raise ContractViolation(f"batch tail ({T - L}) does not match n_step {n}")
 
-    boot_q = _bootstrap_q(batch.obs[:, n : n + L].reshape(B * L, obs_dim), ensemble, actor_net, rng, boot_noise)
+    obs = batch.obs if observe is None else observe(batch.obs.reshape(B * T, -1)).reshape(B, T, -1)
+    obs_dim = obs.shape[2]
+    online_in = np.concatenate([obs[:, :L].reshape(B * L, obs_dim), batch.actions.reshape(B * L, act_dim)], axis=1)
+    boot_obs = obs[:, n : n + L].reshape(B * L, obs_dim)
+    del obs  # with ``observe``, the gathered observations die here (or with boot_obs, if that is a view)
+    boot_q = _bootstrap_q(boot_obs, ensemble, actor_net, rng, boot_noise)
+    del boot_obs
     y = n_step_targets(batch.rewards, batch.dones, boot_q.reshape(B, L, -1), hyper)
 
     valid = (np.arange(L)[None, :] < batch.lengths[:, None]).astype(np.float64)
@@ -263,7 +285,6 @@ def critic_loss(
     w_bt = batch.weights[:, None] * valid  # (B, L)
     scale = (w_bt / n_valid)[:, :, None]
 
-    online_in = np.concatenate([batch.obs[:, :L].reshape(B * L, obs_dim), batch.actions.reshape(B * L, act_dim)], axis=1)
     q1, tape1 = nn.forward(ensemble.q1.net, online_in)
     d1 = q1.reshape(B, L, -1) - y
     if not np.isfinite(0.5 * ((d1 * d1) * w_bt[:, :, None]).sum() / n_valid):  # q1's half, before any backward
@@ -271,18 +292,18 @@ def critic_loss(
     nn.backward(ensemble.q1.net, tape1, (d1 * scale).reshape(B * L, -1), want_input_grad=False)
 
     q2, tape2 = nn.forward(ensemble.q2.net, online_in)
-    del online_in  # q2's tape holds it until its backward is done with it
     d2 = q2.reshape(B, L, -1) - y
     loss = float(0.5 * ((d1 * d1 + d2 * d2) * w_bt[:, :, None]).sum() / n_valid)
     if not np.isfinite(loss):
         raise NumericFault(f"non-finite critic loss; offending batch ids {batch.ids}")
     nn.backward(ensemble.q2.net, tape2, (d2 * scale).reshape(B * L, -1), want_input_grad=False)
+    obs_rows = online_in[valid.reshape(-1) > 0, :obs_dim]
 
     td = np.abs(((d1 + d2) * 0.5) @ hyper.weights) * valid
     prios = np.array(
         [segment_priority(td[b, : batch.lengths[b]], eta) for b in range(B)]
     )
-    return CriticLossResult(loss, td, prios, y)
+    return CriticLossResult(loss, td, prios, y, obs_rows)
 
 
 def _bootstrap_q(

@@ -429,19 +429,23 @@ class TestSingleUseTapes:
 
 def _assert_blocks_on_arena(net):
     """Every block field is a view into the network's arena, laid out block
-    by block with w (row-major) then b."""
+    by block with w (row-major) then b; a field of a vector the arena does
+    not hold is None."""
     arena = net.arena
     off = 0
     for blk in net.param_blocks():
         assert blk.arena is arena and blk.start == off
         for vec, fields in ((arena.params, ("w", "b")), (arena.grads, ("gw", "gb")), (arena.m, ("mw", "mb")), (arena.v, ("vw", "vb"))):
             wf, bf = (getattr(blk, f) for f in fields)
+            if vec is None:
+                assert wf is None and bf is None
+                continue
             assert np.shares_memory(wf, vec) and np.shares_memory(bf, vec)
             assert _same_bits(vec[off : off + wf.size], wf.reshape(-1))
             assert _same_bits(vec[off + wf.size : off + wf.size + bf.size], bf)
         off += blk.n_params()
     assert off == arena.params.size == net.n_params()
-    for vec in (arena.params, arena.grads, arena.m, arena.v):
+    for vec in (getattr(arena, name) for name in arena.vectors):
         assert vec.dtype == np.float64 and vec.ndim == 1 and vec.flags.c_contiguous
 
 
@@ -505,17 +509,47 @@ class TestArena:
     def test_load_network(self, tmp_path):
         net = _trained_net()
         prefix = str(tmp_path / "net")
-        nn.save_network(net, prefix, with_optimizer=True)
+        nn.save_network(net, prefix)
         loaded = nn.load_network(prefix)
         _assert_blocks_on_arena(loaded)
         for name in ("params", "m", "v"):
             assert _same_bits(getattr(loaded.arena, name), getattr(net.arena, name))
         assert loaded.arena.step_count == 2 and not loaded.arena.grads.any()
 
+    def test_params_copy_holds_parameters_only(self, tmp_path):
+        net = _trained_net()
+        x = np.random.default_rng(33).standard_normal((5, net.in_dim))
+        for frozen in (net.params_copy(), net.params_copy(read_only=True)):
+            _assert_blocks_on_arena(frozen)
+            assert frozen.arena.params_only and frozen.arena.vectors == ("params",)
+            assert frozen.arena.step_count == 0
+            assert _same_bits(frozen.arena.params, net.arena.params)
+            assert not np.shares_memory(frozen.arena.params, net.arena.params)
+            assert _same_bits(nn.forward(frozen, x, want_tape=False)[0], nn.forward(net, x, want_tape=False)[0])
+            # a copy, a file round trip and re-adopted blocks stay params-only
+            prefix = str(tmp_path / "frozen")
+            nn.save_network(frozen, prefix)
+            for again in (frozen.copy(), nn.load_network(prefix), nn.Network(frozen.specs[-1:], frozen.blocks[-1:])):
+                _assert_blocks_on_arena(again)
+                assert again.arena.params_only
+            assert _same_bits(nn.load_network(prefix).arena.params, net.arena.params)
+        locked = net.params_copy(read_only=True)
+        with pytest.raises(ValueError):
+            locked.param_blocks()[0].w[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            locked.arena.params[0] = 1.0
+
+    def test_blocks_of_both_kinds_rejected(self):
+        specs = [nn.LayerSpec("linear", 3, 4), nn.LayerSpec("linear", 4, 2)]
+        full = nn.ParamBlock(np.zeros((3, 4)), np.zeros(4))
+        frozen = nn.Network(specs[1:], [nn.ParamBlock(np.zeros((4, 2)), np.zeros(2))]).params_copy()
+        with pytest.raises(ConfigError, match="params-only"):
+            nn.Network(specs, [full, frozen.blocks[0]])
+
     def test_load_rejects_blocks_with_different_step_counts(self, tmp_path):
         net = _trained_net()
         prefix = str(tmp_path / "net")
-        _, bin_path = nn.save_network(net, prefix, with_optimizer=True)
+        _, bin_path = nn.save_network(net, prefix)
         blob = np.fromfile(bin_path, dtype="<f8")
         first = net.param_blocks()[0]
         blob[net.n_params() + 2 * first.n_params()] = 5.0  # the first block's stored step count
@@ -793,13 +827,13 @@ class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(12)
         net = random_net(rng)
-        # dirty the adam state so with_optimizer has something to carry
+        # dirty the adam state so the optimizer part has something to carry
         x = rng.standard_normal((4, net.in_dim))
         y, tape = nn.forward(net, x)
         nn.backward(net, tape, rng.standard_normal(y.shape))
         nn.adam_step_net(net, 1e-3)
         prefix = str(tmp_path / "net")
-        nn.save_network(net, prefix, with_optimizer=True)
+        nn.save_network(net, prefix)
         loaded = nn.load_network(prefix)
         assert [s.kind for s in loaded.specs] == [s.kind for s in net.specs]
         for a, b in zip(net.param_blocks(), loaded.param_blocks()):
@@ -811,7 +845,7 @@ class TestSerialization:
 
     def test_round_trip_without_optimizer(self, tmp_path):
         rng = np.random.default_rng(13)
-        net = random_net(rng)
+        net = random_net(rng).params_copy()
         prefix = str(tmp_path / "net")
         nn.save_network(net, prefix)
         loaded = nn.load_network(prefix)

@@ -1,6 +1,7 @@
 import os
 import shlex
 import shutil
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from fieldsac import cli, distill, nn, pipeline, sac
 from fieldsac.config import TrainConfig, load_config
 from fieldsac.env import STATE_DIM, PointMassEnv
-from fieldsac.errors import ConfigError, NumericFault
+from fieldsac.errors import ConfigError, ContractViolation, NumericFault
 from fieldsac.replay import SEG_LEN, PrioritizedStore
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -242,7 +243,7 @@ class TestLearnerLanes:
             losses.append((learner.last_critic_loss, learner.last_actor_loss, learner.last_alpha_loss))
         ens = learner.ensemble
         nets = (learner.actor, ens.q1.net, ens.q2.net, ens.q1_target.net, ens.q2_target.net)
-        arrays = [getattr(n.arena, v) for n in nets for v in ("params", "grads", "m", "v")]
+        arrays = [getattr(n.arena, v) for n in nets for v in n.arena.vectors]  # the targets hold params only
         arrays += [store._raw_p, store._tree.tree]
         la = learner.log_alpha
         return losses, (la.params.tobytes(), la.m.tobytes(), la.v.tobytes(), la.step_count), [a.tobytes() for a in arrays]
@@ -290,6 +291,32 @@ class TestLearnerLanes:
         assert names.count("fieldsac.nn.forward") == 8 and names.count("fieldsac.nn.backward") == 5
 
 
+class TestLearnerMemory:
+    def test_observations_die_before_q1_forward_returns(self, monkeypatch):
+        cfg = tiny_cfg(num_samplers=1)
+        store, hub, learner, samplers = fresh_setup(cfg, seed=6)
+        while len(store) < cfg.batch:
+            samplers[0].tick()
+        real_observe, real_forward = pipeline.observe, nn.forward
+        refs, dead_at_q1 = [], []
+
+        def observe(rows, mode):
+            out = real_observe(rows, mode)
+            refs.append(weakref.ref(out))
+            return out
+
+        def forward(net, x, want_tape=True):
+            out = real_forward(net, x, want_tape)
+            if net is learner.ensemble.q1.net and not dead_at_q1:
+                dead_at_q1.append(refs[-1]() is None)
+            return out
+
+        monkeypatch.setattr(pipeline, "observe", observe)
+        monkeypatch.setattr(nn, "forward", forward)
+        learner.step()
+        assert len(refs) == 1 and dead_at_q1 == [True]
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         cfg = tiny_cfg()
@@ -307,6 +334,43 @@ class TestCheckpoint:
             assert getattr(back, name).tobytes() == getattr(la, name).tobytes(), name
         assert bundle.learner_steps == 11 and bundle.env_steps == 22
         assert bundle.stage == "pretrain"
+
+    @staticmethod
+    def _old_layout(ckpt_dir, dest):
+        """A copy of ``ckpt_dir`` in the layout of checkpoints written before
+        the targets became params-only: each target blob also carries Adam
+        moments and a step count, which nothing reads."""
+        shutil.copytree(ckpt_dir, dest)
+        rng = np.random.default_rng(9)
+        for name in ("q1_target", "q2_target"):
+            prefix = os.path.join(dest, name)
+            target = nn.load_network(prefix)
+            full = nn.Network(target.specs, nn.arena_blocks(target.specs))
+            full.arena.params[:] = target.arena.params
+            full.arena.m[:] = rng.standard_normal(full.n_params())
+            full.arena.v[:] = rng.random(full.n_params())
+            full.arena.step_count = 5
+            nn.save_network(full, prefix)
+            assert os.path.getsize(prefix + ".bin") == 8 * (3 * full.n_params() + len(full.param_blocks()))
+        return dest
+
+    def test_old_layout_loads_and_resumes_to_the_same_bytes(self, tmp_path):
+        cfg = tiny_cfg(stage="finetune", difficulty=2, total_env_steps=400, epoch_env_steps=400, horizon=100)
+        actor, ens = pipeline.build_learner_nets(cfg, np.random.default_rng(3))
+        new = pipeline.save_checkpoint(str(tmp_path / "new"), actor, ens, sac.log_alpha_arena(0.0), cfg)
+        old = self._old_layout(new, str(tmp_path / "old"))
+        outs = []
+        for name, d in (("from_new", new), ("from_old", old)):
+            bundle = pipeline.load_checkpoint(d)
+            targets = (bundle.ensemble.q1_target.net, bundle.ensemble.q2_target.net)
+            assert all(t.arena.params_only for t in targets)
+            assert [t.arena.params.tobytes() for t in targets] == [t.arena.params.tobytes() for t in (ens.q1_target.net, ens.q2_target.net)]
+            res = pipeline.train_stage(cfg, str(tmp_path / name), resume_actor=bundle.actor, resume_ensemble=bundle.ensemble)
+            assert res.learner_steps > 0
+            outs.append(res.checkpoint_dir)
+        for name in ("actor.bin", "q1.bin", "q2.bin", "meta.txt", "q1_target.bin", "q2_target.bin"):
+            with open(os.path.join(outs[0], name), "rb") as a, open(os.path.join(outs[1], name), "rb") as b:
+                assert a.read() == b.read(), name
 
     def test_missing_checkpoint_message_names_path(self, tmp_path):
         with pytest.raises(ConfigError, match="meta.txt"):
@@ -406,6 +470,44 @@ class TestTrainStage:
             with open(os.path.join(res.checkpoint_dir, name), "rb") as f:
                 parts.append(f.read())
         assert pipeline.checkpoint_fingerprint(res.checkpoint_dir) == b"".join(parts)
+
+    def test_targets_and_snapshots_hold_params_only(self, tmp_path):
+        res = pipeline.train_stage(tiny_cfg(total_env_steps=600, epoch_env_steps=300), str(tmp_path / "run"))
+        ens, learner = res.learner.ensemble, res.learner
+        frozen = (ens.q1_target.net, ens.q2_target.net, learner.hub.current().actor)
+        for net in frozen:
+            assert net.arena.vectors == ("params",)
+            assert all(getattr(blk, f) is None for blk in net.param_blocks() for f in ("gw", "gb", "mw", "mb", "vw", "vb"))
+        for name, net in (("q1_target", ens.q1_target.net), ("q2_target", ens.q2_target.net), ("q1", ens.q1.net)):
+            with_optimizer = 3 * net.n_params() + len(net.param_blocks()) if name == "q1" else net.n_params()
+            assert os.path.getsize(os.path.join(res.checkpoint_dir, name + ".bin")) == 8 * with_optimizer
+        x = np.random.default_rng(2).standard_normal((4, ens.q1.net.in_dim))
+        for net in frozen:
+            x_net = x[:, : net.in_dim]
+            y, tape = nn.forward(net, x_net)
+            for refused in (
+                lambda: nn.backward(net, tape, np.ones_like(y)),
+                lambda: nn.adam_step_net(net, 1e-3),
+                lambda: nn.adam_step(net.arena, 1e-3),
+                net.zero_grads,
+            ):
+                with pytest.raises(ContractViolation, match="params-only"):
+                    refused()
+            # an input gradient needs no parameter gradients
+            _, tape = nn.forward(net, x_net, want_tape="input_grad")
+            assert nn.backward(net, tape, np.ones_like(y), accumulate=False).shape == x_net.shape
+        rng = np.random.default_rng(3)
+        for critic in (ens.q1_target, ens.q2_target):
+            head = critic.net.param_blocks()[-1]
+            ext, cut = sac.extend_reward_term(critic, 0.5, rng), sac.remove_reward_term(critic, 2)
+            keep = [0, 1, 3, 4, 5, 6]
+            for out, cols in ((ext, list(range(7))), (cut, keep)):
+                assert out.net.arena.params_only
+                new_head = out.net.param_blocks()[-1]
+                assert new_head.w[:, : len(cols)].tobytes() == head.w[:, cols].tobytes()
+                assert new_head.b[: len(cols)].tobytes() == head.b[cols].tobytes()
+                below = new_head.start
+                assert out.net.arena.params[:below].tobytes() == critic.net.arena.params[:below].tobytes()
 
     def test_finetune_starts_with_empty_store_and_no_replay_dump(self, tmp_path):
         pre = pipeline.train_stage(tiny_cfg(), str(tmp_path / "pre"))

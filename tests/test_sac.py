@@ -162,8 +162,7 @@ def tiny_ensemble(rng, obs_dim, act_dim, hidden=8, n_terms=NUM_TERMS):
     def build():
         return sac.VectorCritic(nn.build_mlp(obs_dim + act_dim, hidden, n_terms, rng, hidden_blocks=1, activation="elu"))
 
-    q1, q2 = build(), build()
-    return sac.CriticEnsemble(q1, q2, q1.copy(), q2.copy())
+    return sac.CriticEnsemble.of(build(), build())
 
 
 def tiny_batch(rng, B=3, L=4, n=2, obs_dim=3, act_dim=2, full=True):
@@ -449,7 +448,7 @@ class TestTwinThreads:
         res = sac.critic_loss(batch, ens, actor, hy, rng=np.random.default_rng(1))
         loss, logp = sac.actor_loss(batch.obs[:, :4].reshape(-1, 3), ens, actor, 0.2, hy, rng=np.random.default_rng(2))
         arrays = [res.td_magnitudes, res.segment_priorities, res.targets, logp, actor.arena.grads]
-        arrays += [c.net.arena.grads for c in (ens.q1, ens.q2, ens.q1_target, ens.q2_target)]
+        arrays += [c.net.arena.grads for c in (ens.q1, ens.q2)]  # the targets hold no gradients
         return res.loss, loss, arrays
 
     def test_critic_and_actor_losses_same_bits_threaded_or_not(self, monkeypatch):
