@@ -90,6 +90,7 @@ def _clone_with_field_rows(tnet: nn.Network, field_dim: int, at: int) -> nn.Netw
 class DistillStepResult:
     kl_loss: float
     q_loss: float
+    q2_loss: float
 
 
 def _heads(student_actor: nn.Network, teacher_actor: nn.Network, states: np.ndarray, field: np.ndarray, want_tape: bool = False):
@@ -104,9 +105,9 @@ def _heads(student_actor: nn.Network, teacher_actor: nn.Network, states: np.ndar
 
 def distill_step(
     student_actor: nn.Network,
-    student_critic: VectorCritic,
+    student_critics: tuple[VectorCritic, VectorCritic],
     teacher_actor: nn.Network,
-    teacher_critic: VectorCritic,
+    teacher_critics: tuple[VectorCritic, VectorCritic],
     states: np.ndarray,
     rng: np.random.Generator,
     cfg: DistillConfig,
@@ -116,8 +117,11 @@ def distill_step(
     """One distillation step on a batch of stored states.
 
     Teachers are read-only (no tapes, no gradient accumulation).  The
-    student actor matches the teacher policy (closed-form KL) and the
-    student critic is fitted by ``_fit_critic``.
+    student actor matches the teacher policy (closed-form KL), and each
+    student critic is fitted to its teacher twin by ``distill_critic_only``
+    at one pair of actions sampled from the two policies (no gradient
+    flows through the samples).  Every loss is checked before any Adam
+    step, so a fault leaves all three students' parameters as they were.
     """
     states = np.asarray(states, dtype=np.float64)
     B = states.shape[0]
@@ -133,55 +137,36 @@ def distill_step(
         raise NumericFault("non-finite distillation loss; dumping batch is advised")
     dmu, dls = policy.kl_grads(s_head, t_head, s_mask)
     nn.backward(student_actor, s_tape, np.concatenate([dmu, dls], axis=1) / B, want_input_grad=False)
-    q_loss = _fit_critic(student_critic, teacher_critic, states, field_noise, s_head, t_head, rng, cfg, weights)
+    a_s = policy.sample(s_head, rng.standard_normal(s_head.mu.shape)).action
+    a_t = policy.sample(t_head, rng.standard_normal(t_head.mu.shape)).action
+    student_in = np.concatenate([states, field_noise, a_s], axis=1)
+    teacher_in = np.concatenate([states, a_t], axis=1)
+    q_losses = [distill_critic_only(s, t, student_in, teacher_in, cfg, weights) for s, t in zip(student_critics, teacher_critics)]
 
     lr_a, lr_c = cfg.lr_at(step_index)
     nn.adam_step_net(student_actor, lr_a)
-    nn.adam_step_net(student_critic.net, lr_c)
-    return DistillStepResult(kl_loss, q_loss)
+    for critic in student_critics:
+        nn.adam_step_net(critic.net, lr_c)
+    return DistillStepResult(kl_loss, *q_losses)
 
 
+# a public name because perfbench/targets.py traces it as distill.critic_only
 def distill_critic_only(
     student_critic: VectorCritic,
-    teacher_actor: nn.Network,
     teacher_critic: VectorCritic,
-    student_actor: nn.Network,
-    states: np.ndarray,
-    rng: np.random.Generator,
-    cfg: DistillConfig,
-    weights: np.ndarray,
-    step_index: int = 0,
-) -> float:
-    """One squared-error step for a critic whose actor is already distilled."""
-    states = np.asarray(states, dtype=np.float64)
-    field_noise = rng.normal(0.0, cfg.noise_std, size=(states.shape[0], cfg.field_dim))
-    s_head, _, _, t_head = _heads(student_actor, teacher_actor, states, field_noise)
-    q_loss = _fit_critic(student_critic, teacher_critic, states, field_noise, s_head, t_head, rng, cfg, weights)
-    nn.adam_step_net(student_critic.net, cfg.lr_at(step_index)[1])
-    return q_loss
-
-
-def _fit_critic(
-    student_critic: VectorCritic,
-    teacher_critic: VectorCritic,
-    states: np.ndarray,
-    field_noise: np.ndarray,
-    s_head: policy.GaussianHead,
-    t_head: policy.GaussianHead,
-    rng: np.random.Generator,
+    student_in: np.ndarray,
+    teacher_in: np.ndarray,
     cfg: DistillConfig,
     weights: np.ndarray,
 ) -> float:
-    """Accumulate the student critic's gradient of its squared error
-    against the teacher's weighted-sum value (per coordinate with
-    ``match_vector``) at actions sampled from the respective policies;
-    the sampled actions carry no gradient.  Returns the loss."""
-    B = states.shape[0]
+    """Accumulate the student critic's gradient of its squared error on
+    ``student_in`` against the teacher's weighted-sum value on
+    ``teacher_in`` (per coordinate with ``match_vector``).  Returns the
+    loss; raises before the backward pass when it is not finite."""
+    B = student_in.shape[0]
     weights = np.asarray(weights, dtype=np.float64)
-    a_s = policy.sample(s_head, rng.standard_normal(s_head.mu.shape)).action
-    a_t = policy.sample(t_head, rng.standard_normal(t_head.mu.shape)).action
-    qs, q_tape = student_critic.forward(np.concatenate([states, field_noise, a_s], axis=1))
-    qt, _ = teacher_critic.forward(np.concatenate([states, a_t], axis=1), want_tape=False)
+    qs, q_tape = student_critic.forward(student_in)
+    qt, _ = teacher_critic.forward(teacher_in, want_tape=False)
     if cfg.match_vector:
         diff = qs - qt
         q_loss = float((diff * diff).sum(axis=1).mean())
@@ -233,44 +218,51 @@ def network_fingerprint(net: nn.Network) -> bytes:
 
 def run_distillation(
     teacher_actor: nn.Network,
-    teacher_critic: VectorCritic,
+    teacher_critics: tuple[VectorCritic, VectorCritic],
     states: np.ndarray,
     weights: np.ndarray,
     cfg: DistillConfig,
     metrics_path: str | None = None,
-) -> tuple[nn.Network, VectorCritic, list[DistillStepResult]]:
+) -> tuple[nn.Network, tuple[VectorCritic, VectorCritic], list[DistillStepResult]]:
     """Full distillation loop over uniformly sampled stored states.
 
-    Fresh students take the field block after the teacher's obs inputs.
-    Stops at ``cfg.max_steps`` or once the running-mean KL drops under
-    ``cfg.kl_stop``.  Optionally writes a (step, kl_loss, q_loss) CSV with
-    every 100th step, the last step and the stopping step, each once.
+    Fresh students take the field block after the teacher's obs inputs:
+    the actor and the first critic are drawn from ``cfg.seed``'s stream,
+    which then samples every batch, and the second critic from
+    ``cfg.seed + 1``'s.  Stops at ``cfg.max_steps`` or once the
+    running-mean KL drops under ``cfg.kl_stop``.  Optionally writes a
+    (step, kl_loss, q_loss, q2_loss) CSV with every 100th step, the last
+    step and the stopping step, each once.
     """
-    check_teacher_critic(teacher_critic, teacher_actor)
+    for critic in teacher_critics:
+        check_teacher_critic(critic, teacher_actor)
     rng = np.random.default_rng(cfg.seed)
     obs_dim = teacher_actor.in_dim + cfg.field_dim
     act_dim = teacher_actor.out_dim // 2
     student_actor = build_actor(obs_dim, act_dim, cfg.student_hidden, rng)
-    student_critic = VectorCritic.build(obs_dim, act_dim, cfg.student_hidden, rng, teacher_critic.n_terms)
+    student_critics = (
+        VectorCritic.build(obs_dim, act_dim, cfg.student_hidden, rng, teacher_critics[0].n_terms),
+        VectorCritic.build(obs_dim, act_dim, cfg.student_hidden, np.random.default_rng(cfg.seed + 1), teacher_critics[1].n_terms),
+    )
     weights = np.asarray(weights, dtype=np.float64)
 
     history: list[DistillStepResult] = []
-    rows = ["step,kl_loss,q_loss"]
+    rows = ["step,kl_loss,q_loss,q2_loss"]
     recent: list[float] = []
     for step in range(cfg.max_steps):
         idx = rng.integers(0, states.shape[0], size=cfg.batch)
-        res = distill_step(student_actor, student_critic, teacher_actor, teacher_critic, states[idx], rng, cfg, weights, step_index=step)
+        res = distill_step(student_actor, student_critics, teacher_actor, teacher_critics, states[idx], rng, cfg, weights, step_index=step)
         history.append(res)
         recent.append(res.kl_loss)
         if len(recent) > 50:
             recent.pop(0)
         stop = len(recent) == 50 and float(np.mean(recent)) < cfg.kl_stop
         if step % 100 == 0 or step == cfg.max_steps - 1 or stop:
-            rows.append(f"{step},{res.kl_loss!r},{res.q_loss!r}")
+            rows.append(f"{step},{res.kl_loss!r},{res.q_loss!r},{res.q2_loss!r}")
         if stop:
             break
     if metrics_path is not None:
         os.makedirs(os.path.dirname(metrics_path) or ".", exist_ok=True)
         with open(metrics_path, "w") as f:
             f.write("\n".join(rows) + "\n")
-    return student_actor, student_critic, history
+    return student_actor, student_critics, history

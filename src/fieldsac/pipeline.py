@@ -641,20 +641,11 @@ def run_distill_stage(teacher_ckpt_dir: str, replay_dir: str, out_dir: str, dcfg
     fp_before = [distill.network_fingerprint(net) for net in teacher_nets]
     weights = TrainConfig(stage=bundle.stage).weights
     metrics_path = os.path.join(out_dir, "distill_metrics.csv")
-    student_actor, student_q1, hist1 = distill.run_distillation(bundle.actor, bundle.ensemble.q1, train_states, weights, dcfg, metrics_path)
-    # the second twin reuses the distilled actor and only fits its critic
-    rng2 = np.random.default_rng(dcfg.seed + 1)
-    distill.check_teacher_critic(bundle.ensemble.q2, bundle.actor)
-    student_q2 = VectorCritic.build(
-        bundle.actor.in_dim + dcfg.field_dim, bundle.actor.out_dim // 2, dcfg.student_hidden, rng2, bundle.ensemble.q2.n_terms
-    )
-    for step in range(len(hist1)):
-        idx = rng2.integers(0, train_states.shape[0], size=dcfg.batch)
-        distill.distill_critic_only(student_q2, bundle.actor, bundle.ensemble.q2, student_actor, train_states[idx], rng2, dcfg, weights, step_index=step)
-
+    teacher_critics = (bundle.ensemble.q1, bundle.ensemble.q2)
+    student_actor, student_critics, _ = distill.run_distillation(bundle.actor, teacher_critics, train_states, weights, dcfg, metrics_path)
     report = distill.verify_distillation(student_actor, bundle.actor, holdout, dcfg.field_dim)
     teacher_unchanged = [distill.network_fingerprint(net) for net in teacher_nets] == fp_before
-    ensemble = CriticEnsemble.of(student_q1, student_q2)
+    ensemble = CriticEnsemble.of(*student_critics)
     cfg = TrainConfig(stage="finetune")
     ckpt_dir = save_checkpoint(os.path.join(out_dir, "checkpoint"), student_actor, ensemble, sac.log_alpha_arena(np.log(cfg.init_alpha)), cfg)
     artifacts.write_manifest(

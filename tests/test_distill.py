@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fieldsac import distill, nn, policy, sac
-from fieldsac.errors import ConfigError
+from fieldsac.errors import ConfigError, NumericFault
 from fieldsac.rewards import NUM_TERMS
 
 
@@ -12,10 +12,19 @@ def teacher_pair(rng, obs_dim=6, act_dim=2, hidden=8):
     return actor, critic
 
 
+def twin_of(critic, seed):
+    """Another critic of ``critic``'s shape, drawn from its own stream."""
+    return sac.VectorCritic(nn.build_mlp(critic.net.in_dim, critic.net.specs[0].out_dim, critic.n_terms, np.random.default_rng(seed), activation="relu"))
+
+
 def student_pair(actor, critic, field_dim, hidden, rng):
     """Fresh students as ``run_distillation`` builds them."""
     obs_dim, act_dim = actor.in_dim + field_dim, actor.out_dim // 2
     return sac.build_actor(obs_dim, act_dim, hidden, rng), sac.VectorCritic.build(obs_dim, act_dim, hidden, rng, critic.n_terms)
+
+
+def params(net):
+    return net.arena.params.copy()
 
 
 class TestBuildStudent:
@@ -45,11 +54,12 @@ class TestBuildStudent:
 
     def test_mismatched_teacher_critic_dims_rejected(self):
         rng = np.random.default_rng(3)
-        actor, _ = teacher_pair(rng)
+        actor, good = teacher_pair(rng)
         _, critic = teacher_pair(rng, obs_dim=5)
         cfg = distill.DistillConfig(field_dim=4, batch=8, student_hidden=8, max_steps=1)
-        with pytest.raises(ConfigError, match="teacher critic expects 7 inputs"):
-            distill.run_distillation(actor, critic, rng.standard_normal((16, 6)), np.ones(NUM_TERMS), cfg)
+        for critics in ((critic, good), (good, critic)):
+            with pytest.raises(ConfigError, match="teacher critic expects 7 inputs"):
+                distill.run_distillation(actor, critics, rng.standard_normal((16, 6)), np.ones(NUM_TERMS), cfg)
 
 
 class TestClone:
@@ -78,10 +88,10 @@ class TestClone:
         rng = np.random.default_rng(6)
         actor, critic = teacher_pair(rng)
         s_actor = distill.clone_actor_into_student(actor, field_dim=4)
-        s_critic = distill.clone_critic_into_student(critic, obs_dim=6, field_dim=4)
+        s_critics = tuple(distill.clone_critic_into_student(critic, obs_dim=6, field_dim=4) for _ in range(2))
         cfg = distill.DistillConfig(field_dim=4, noise_std=0.1, batch=16)
         states = rng.standard_normal((64, 6))
-        res = distill.distill_step(s_actor, s_critic, actor, critic, states[:16], rng, cfg, np.ones(NUM_TERMS))
+        res = distill.distill_step(s_actor, s_critics, actor, (critic, critic), states[:16], rng, cfg, np.ones(NUM_TERMS))
         assert res.kl_loss == pytest.approx(0.0, abs=1e-15)
 
 
@@ -91,29 +101,64 @@ class TestDistillStep:
         actor, critic = teacher_pair(rng)
         cfg = distill.DistillConfig(field_dim=8, batch=16, student_hidden=8)
         s_actor, s_critic = student_pair(actor, critic, 8, 8, rng)
+        s_critics = (s_critic, sac.VectorCritic.build(14, 2, 8, np.random.default_rng(70), critic.n_terms))
+        teachers = (critic, twin_of(critic, 71))
         for _ in range(20):
             states = rng.standard_normal((16, 6))
-            res = distill.distill_step(s_actor, s_critic, actor, critic, states, rng, cfg, np.ones(NUM_TERMS))
-            assert res.kl_loss >= 0.0 and res.q_loss >= 0.0
-            assert np.isfinite(res.kl_loss) and np.isfinite(res.q_loss)
+            res = distill.distill_step(s_actor, s_critics, actor, teachers, states, rng, cfg, np.ones(NUM_TERMS))
+            assert res.kl_loss >= 0.0 and res.q_loss >= 0.0 and res.q2_loss >= 0.0
+            assert np.isfinite(res.kl_loss) and np.isfinite(res.q_loss) and np.isfinite(res.q2_loss)
+
+    def test_fault_in_second_critic_leaves_every_student_unstepped(self):
+        rng = np.random.default_rng(16)
+        actor, critic = teacher_pair(rng)
+        # finite outputs whose squared error overflows: the fault is the
+        # loss check's, after the actor's and q1's backward passes ran
+        bad = twin_of(critic, 17)
+        bad.net.blocks[-1].b[0] = 1e200
+        cfg = distill.DistillConfig(field_dim=8, batch=16, student_hidden=8)
+        s_actor, s_critic = student_pair(actor, critic, 8, 8, rng)
+        s_critics = (s_critic, sac.VectorCritic.build(14, 2, 8, np.random.default_rng(18), critic.n_terms))
+        before = [params(net) for net in (s_actor, *(c.net for c in s_critics))]
+        with pytest.raises(NumericFault, match="non-finite critic distillation loss"), np.errstate(over="ignore"):
+            distill.distill_step(s_actor, s_critics, actor, (critic, bad), rng.standard_normal((16, 6)), rng, cfg, np.ones(NUM_TERMS))
+        for net, p in zip((s_actor, *(c.net for c in s_critics)), before):
+            assert params(net).tobytes() == p.tobytes()
+
+    def test_second_critic_reads_nothing_the_first_uses(self):
+        # a different second teacher critic must leave the actor and the
+        # first critic byte-identical: the second critic makes no draw
+        rng = np.random.default_rng(19)
+        actor, q1 = teacher_pair(rng)
+        q2, q3 = twin_of(q1, 20), twin_of(q1, 21)
+        cfg = distill.DistillConfig(field_dim=6, batch=8, student_hidden=8, max_steps=30, kl_stop=1e-9)
+        states = rng.standard_normal((64, 6))
+        a_x, (q1_x, q2_x), _ = distill.run_distillation(actor, (q1, q2), states, np.ones(NUM_TERMS), cfg)
+        a_y, (q1_y, q2_y), _ = distill.run_distillation(actor, (q1, q3), states, np.ones(NUM_TERMS), cfg)
+        assert distill.network_fingerprint(a_x) == distill.network_fingerprint(a_y)
+        assert distill.network_fingerprint(q1_x.net) == distill.network_fingerprint(q1_y.net)
+        assert distill.network_fingerprint(q2_x.net) != distill.network_fingerprint(q2_y.net)
 
     def test_teachers_bit_identical_after_training(self):
         rng = np.random.default_rng(8)
         actor, critic = teacher_pair(rng)
         fp_a = distill.network_fingerprint(actor)
         fp_c = distill.network_fingerprint(critic.net)
+        twin = twin_of(critic, 80)
+        fp_t = distill.network_fingerprint(twin.net)
         cfg = distill.DistillConfig(field_dim=6, batch=8, student_hidden=8, max_steps=30, kl_stop=1e-9)
         states = rng.standard_normal((64, 6))
-        distill.run_distillation(actor, critic, states, np.ones(NUM_TERMS), cfg)
+        distill.run_distillation(actor, (critic, twin), states, np.ones(NUM_TERMS), cfg)
         assert distill.network_fingerprint(actor) == fp_a
         assert distill.network_fingerprint(critic.net) == fp_c
+        assert distill.network_fingerprint(twin.net) == fp_t
 
     def test_zero_noise_std_gives_zero_field_input(self, monkeypatch):
         rng = np.random.default_rng(9)
         actor, critic = teacher_pair(rng)
         cfg = distill.DistillConfig(field_dim=5, noise_std=0.0, batch=4, student_hidden=8)
         s_actor = distill.clone_actor_into_student(actor, 5)
-        s_critic = distill.clone_critic_into_student(critic, 6, 5)
+        s_critics = tuple(distill.clone_critic_into_student(critic, 6, 5) for _ in range(2))
         states = rng.standard_normal((4, 6))
         # with a field-insensitive clone and zero noise, the step reduces to
         # matching teacher outputs exactly: KL 0 and zero actor gradient,
@@ -127,7 +172,7 @@ class TestDistillStep:
             adam_step_net(net, lr)
 
         monkeypatch.setattr(nn, "adam_step_net", record_then_step)
-        res = distill.distill_step(s_actor, s_critic, actor, critic, states, rng, cfg, np.ones(NUM_TERMS))
+        res = distill.distill_step(s_actor, s_critics, actor, (critic, critic), states, rng, cfg, np.ones(NUM_TERMS))
         assert res.kl_loss == pytest.approx(0.0, abs=1e-15)
         assert len(actor_gw) == len(s_actor.param_blocks())
         for gw in actor_gw:
@@ -248,7 +293,7 @@ class TestVerify:
         actor.bump_version()
         cfg = distill.DistillConfig(field_dim=2, batch=32, student_hidden=6, max_steps=2000, kl_stop=1e-5, lr_actor=3e-3, lr_critic=3e-3, seed=5)
         states = rng.standard_normal((256, 2))
-        s_actor, s_critic, history = distill.run_distillation(actor, critic, states, np.ones(NUM_TERMS), cfg)
+        s_actor, s_critics, history = distill.run_distillation(actor, (critic, twin_of(critic, 140)), states, np.ones(NUM_TERMS), cfg)
         assert history[-1].kl_loss < 1e-4
 
     def test_metrics_csv_written(self, tmp_path):
@@ -256,13 +301,13 @@ class TestVerify:
         actor, critic = teacher_pair(rng, obs_dim=2, act_dim=1, hidden=6)
         cfg = distill.DistillConfig(field_dim=2, batch=8, student_hidden=6, max_steps=5, kl_stop=1e-12)
         path = str(tmp_path / "distill.csv")
-        distill.run_distillation(actor, critic, rng.standard_normal((32, 2)), np.ones(NUM_TERMS), cfg, metrics_path=path)
+        distill.run_distillation(actor, (critic, twin_of(critic, 150)), rng.standard_normal((32, 2)), np.ones(NUM_TERMS), cfg, metrics_path=path)
         with open(path) as f:
             rows = f.read().strip().split("\n")
-        assert rows[0] == "step,kl_loss,q_loss"
+        assert rows[0] == "step,kl_loss,q_loss,q2_loss"
         assert len(rows) >= 2
-        step, kl, q = rows[1].split(",")
-        assert float(kl) >= 0.0 and float(q) >= 0.0
+        step, kl, q, q2 = rows[1].split(",")
+        assert float(kl) >= 0.0 and float(q) >= 0.0 and float(q2) >= 0.0
 
     def test_stopping_step_written_once(self, tmp_path):
         # the stop lands on step 49 = max_steps - 1, a logged step: its row
@@ -271,7 +316,7 @@ class TestVerify:
         actor, critic = teacher_pair(rng, obs_dim=2, act_dim=1, hidden=6)
         cfg = distill.DistillConfig(field_dim=2, batch=8, student_hidden=6, max_steps=50, kl_stop=1e9)
         path = str(tmp_path / "distill.csv")
-        _, _, history = distill.run_distillation(actor, critic, rng.standard_normal((32, 2)), np.ones(NUM_TERMS), cfg, metrics_path=path)
+        _, _, history = distill.run_distillation(actor, (critic, critic), rng.standard_normal((32, 2)), np.ones(NUM_TERMS), cfg, metrics_path=path)
         with open(path) as f:
             steps = [row.split(",")[0] for row in f.read().strip().split("\n")[1:]]
         assert len(history) == 50 and steps == ["0", "49"]

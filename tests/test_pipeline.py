@@ -588,8 +588,17 @@ class TestDistillStage:
         bundle = pipeline.load_checkpoint(res.checkpoint_dir)
         assert bundle.actor.in_dim == 248
         assert bundle.ensemble.q1.net.in_dim == 250
+        assert bundle.ensemble.q2.net.in_dim == 250
+        # the second student starts from its own stream's draw and is trained
+        start = sac.VectorCritic.build(248, 2, 16, np.random.default_rng(dcfg.seed + 1), bundle.ensemble.q2.n_terms)
+        trained = bundle.ensemble.q2.net.arena.params
+        assert trained.shape == start.net.arena.params.shape and not np.array_equal(trained, start.net.arena.params)
         assert bundle.stage == "finetune"
-        assert os.path.exists(res.metrics_path)
+        with open(res.metrics_path) as f:
+            lines = f.read().splitlines()
+        assert lines[0] == "step,kl_loss,q_loss,q2_loss"
+        cells = [row.split(",") for row in lines[1:]]
+        assert cells and all(len(row) == 4 and all(np.isfinite(float(c)) for c in row) for row in cells)
 
 
 class TestCli:
